@@ -94,13 +94,17 @@ def test_kernel_power(benchmark, process, placed_l2t):
     benchmark(analyze_power, gb.netlist, routing, process, "cpu_clk")
 
 
-def test_kernel_partition(benchmark, process):
-    """FM min-cut bipartitioning (l2t)."""
-    def run():
-        gb = generate_block(block_type_by_name("l2t"), process.library,
-                            seed=1)
-        return fm_bipartition(gb.netlist, seed=0)
-    benchmark.pedantic(run, rounds=3, iterations=1)
+@pytest.mark.parametrize("block,scale", [("l2t", 1.0), ("l2t", 2.0),
+                                         ("spc", 1.0)])
+def test_kernel_partition(benchmark, process, block, scale):
+    """FM min-cut bipartitioning alone: l2t at two scales shows how it
+    grows with cell count, spc is the largest block it folds."""
+    # FM only reads the netlist, so every round can share one
+    gb = generate_block(block_type_by_name(block), process.library,
+                        seed=1, scale=scale)
+    res = benchmark.pedantic(fm_bipartition, args=(gb.netlist,),
+                             kwargs={"seed": 0}, rounds=3, iterations=1)
+    assert res.cut_nets > 0
 
 
 def test_kernel_optimize(benchmark, process):

@@ -76,11 +76,15 @@ def bonding_power_sweep(block: str, process: ProcessNode,
     """The Fig. 7 sweep: five partition cases, both bonding styles.
 
     Returns comparisons in partition-case order (#1..#5, increasing 3D
-    connection count).
+    connection count).  With a cache, the cases are read off the cache's
+    memoized netlist, which the sweep's flows then clone.
     """
     base = base or FlowConfig()
-    gb = generate_block(block_type_by_name(block), process.library,
-                        seed=base.seed, scale=base.scale)
+    if cache is not None:
+        gb = cache.generated(block, base.seed, base.scale, process)
+    else:
+        gb = generate_block(block_type_by_name(block), process.library,
+                            seed=base.seed, scale=base.scale)
     out: List[BondingComparison] = []
     for label, fold in partition_case_sweep(gb):
         out.append(compare_bonding(block, fold, process, base, label=label,

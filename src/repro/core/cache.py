@@ -27,6 +27,13 @@ Pass one :class:`DesignCache` through
 explorer) to deduplicate the work; point several runs (or several
 ``multiprocessing`` workers) at one ``cache_dir`` to make reruns
 near-free.
+
+Beside the two design tiers, each cache memoizes the *generated*
+netlists its flows start from (:meth:`DesignCache.generated`), keyed by
+block, seed, scale and process fingerprint: a sweep folds one netlist
+many ways, and every miss gets a fresh clone of the pristine netlist
+instead of regenerating it.  The memo lives in memory only, is capped
+like the memory tier and is dropped by :meth:`DesignCache.clear`.
 """
 
 from __future__ import annotations
@@ -36,14 +43,18 @@ import json
 import os
 import pickle
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional, Union
 
+from ..designgen.generate import GeneratedBlock, generate_block
+from ..designgen.t2 import block_type_by_name
 from ..faults.inject import corrupt_point
 from ..obs import trace
 from ..obs.metrics import metrics
+from ..place import scalar as place_scalar
 from ..tech.process import ProcessNode
+from ..timing import scalar as sta_scalar
 from .flow import BlockDesign, FlowConfig, run_block_flow
 
 #: Version stamp baked into every disk-cache key.  Bump whenever the
@@ -84,6 +95,11 @@ def process_fingerprint(process: ProcessNode) -> Dict[str, object]:
     }
 
 
+def _sha256(payload: Dict[str, object]) -> str:
+    blob = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def design_key(block: str, config: FlowConfig,
                process: ProcessNode) -> str:
     """Content hash of one block-flow request.
@@ -91,16 +107,29 @@ def design_key(block: str, config: FlowConfig,
     The key covers the block name, the whole ``FlowConfig`` (fold spec,
     bonding, seed, scale, budgets, ...), the process fingerprint and
     :data:`CODE_VERSION`, so any input that can change the finished
-    design changes the key.
+    design changes the key.  Runs on a scalar reference path
+    (``REPRO_PLACE_SCALAR`` / ``REPRO_STA_SCALAR``) add the active flags,
+    so their designs never answer a default-path request; without them
+    the payload is unchanged.
     """
-    payload = {
+    payload: Dict[str, object] = {
         "block": block,
         "config": asdict(config),
         "process": process_fingerprint(process),
         "version": CODE_VERSION,
     }
-    blob = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    scalar = {"place": place_scalar.use_scalar(),
+              "sta": sta_scalar.use_scalar()}
+    if any(scalar.values()):
+        payload["scalar"] = scalar
+    return _sha256(payload)
+
+
+def netlist_key(block: str, seed: int, scale: float,
+                process: ProcessNode) -> str:
+    """Content hash of one generated netlist (the netlist memo's key)."""
+    return _sha256({"block": block, "seed": seed, "scale": scale,
+                    "process": process_fingerprint(process)})
 
 
 @dataclass
@@ -140,6 +169,8 @@ class DesignCache:
                  cache_dir: Optional[Union[str, Path]] = None,
                  max_disk_entries: Optional[int] = None) -> None:
         self._store: Dict[str, BlockDesign] = {}
+        #: pristine generated netlists, never handed to a flow directly
+        self._netlists: Dict[str, GeneratedBlock] = {}
         self.max_entries = max_entries
         self.max_disk_entries = max_disk_entries
         self.cache_dir: Optional[Path] = \
@@ -251,6 +282,34 @@ class DesignCache:
             self.stats.evictions += 1
         self._store[key] = design
 
+    # ---- the netlist memo ----------------------------------------------
+
+    def generated(self, block: str, seed: int, scale: float,
+                  process: ProcessNode) -> GeneratedBlock:
+        """The memoized generated netlist of one block (read-only).
+
+        Generates on the first request and serves the same object after
+        that (each hit counts in ``cache.netlist_hits``).  Never mutate
+        it: flows take the clones :meth:`get_or_run` makes.
+        """
+        key = netlist_key(block, seed, scale, process)
+        gb = self._netlists.get(key)
+        if gb is not None:
+            metrics().counter("cache.netlist_hits").inc()
+            return gb
+        gb = generate_block(block_type_by_name(block), process.library,
+                            seed=seed, scale=scale)
+        if len(self._netlists) >= self.max_entries:
+            del self._netlists[next(iter(self._netlists))]
+        self._netlists[key] = gb
+        return gb
+
+    def _fresh_block(self, block: str, seed: int, scale: float,
+                     process: ProcessNode) -> GeneratedBlock:
+        """A private clone of the memo's entry, for a flow to mutate."""
+        gb = self.generated(block, seed, scale, process)
+        return replace(gb, netlist=gb.netlist.clone())
+
     def get_or_run(self, block: str, config: FlowConfig,
                    process: ProcessNode) -> BlockDesign:
         """Return the cached design or run the flow and cache it.
@@ -281,13 +340,17 @@ class DesignCache:
             self.stats.misses += 1
             metrics().counter("cache.misses").inc()
             sp.set(outcome="miss")
-            design = run_block_flow(block, config, process)
+            design = run_block_flow(
+                block, config, process,
+                source=lambda: self._fresh_block(
+                    block, config.seed, config.scale, process))
             self._remember(key, design)
             self._store_disk(key, design)
             return design
 
     def clear(self) -> None:
-        """Drop the in-memory tier and reset the counters (the disk tier
-        survives; see :meth:`clear_disk`)."""
+        """Drop the in-memory tier and the netlist memo and reset the
+        counters (the disk tier survives; see :meth:`clear_disk`)."""
         self._store.clear()
+        self._netlists.clear()
         self.stats = CacheStats()

@@ -19,7 +19,7 @@ statistics, HVT usage and the cell/net/leakage power split.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..cts.tree import CTSResult
 from ..designgen.generate import GeneratedBlock, generate_block
@@ -153,13 +153,19 @@ def _routing_layers(block_type: BlockType, config: FlowConfig) -> int:
 
 
 def run_block_flow(block: str, config: FlowConfig,
-                   process: ProcessNode) -> BlockDesign:
+                   process: ProcessNode,
+                   source: Optional[Callable[[], GeneratedBlock]] = None
+                   ) -> BlockDesign:
     """Run the full design flow on one block type.
 
     Args:
         block: T2 block type name (``"spc"``, ``"ccx"``, ...).
         config: flow configuration.
         process: technology node.
+        source: returns the generated netlist, which the flow then owns
+            and mutates; by default the flow calls :func:`generate_block`
+            (a :class:`~repro.core.cache.DesignCache` passes clones of its
+            memoized netlists).
 
     Returns:
         The finished :class:`BlockDesign`.
@@ -172,8 +178,9 @@ def run_block_flow(block: str, config: FlowConfig,
                     scale=config.scale, seed=config.seed):
         with trace.span("flow.generate", block=block) as sp_gen:
             fault_point("generate")
-            gb = generate_block(block_type, process.library,
-                                seed=config.seed, scale=config.scale)
+            gb = source() if source is not None else generate_block(
+                block_type, process.library, seed=config.seed,
+                scale=config.scale)
         design = run_flow_on(gb, config, process)
     design.stage_times_ms["generate"] = sp_gen.duration_ms
     return design

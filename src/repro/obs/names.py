@@ -36,6 +36,7 @@ SPAN_OPT_TIMING_STAGE = "opt.timing_stage"
 SPAN_PLACE_BISTRATAL = "place.bistratal"
 SPAN_PLACE_GLOBAL = "place.global"
 SPAN_PLACE_LEGALIZE = "place.legalize"
+SPAN_PLACE_PARTITION = "place.partition"
 SPAN_SERVICE_POINT = "service.point"
 SPAN_SERVICE_REQUEST = "service.request"
 SPAN_SERVICE_SHARD_DEATH = "service.shard_death"
@@ -68,6 +69,7 @@ SPAN_NAMES = (
     SPAN_PLACE_BISTRATAL,
     SPAN_PLACE_GLOBAL,
     SPAN_PLACE_LEGALIZE,
+    SPAN_PLACE_PARTITION,
     SPAN_SERVICE_POINT,
     SPAN_SERVICE_REQUEST,
     SPAN_SERVICE_SHARD_DEATH,
@@ -83,6 +85,7 @@ CTR_CACHE_CORRUPT_DROPS = "cache.corrupt_drops"
 CTR_CACHE_DISK_HITS = "cache.disk_hits"
 CTR_CACHE_MEMORY_HITS = "cache.memory_hits"
 CTR_CACHE_MISSES = "cache.misses"
+CTR_CACHE_NETLIST_HITS = "cache.netlist_hits"
 CTR_CACHE_STORES = "cache.stores"
 CTR_CHIP_3D_CONNECTIONS = "chip.3d_connections"
 CTR_CHIP_BUILDS = "chip.builds"
@@ -103,6 +106,9 @@ CTR_OPT_FULL_REROUTES = "opt.full_reroutes"
 CTR_OPT_HVT_SWAPS = "opt.hvt_swaps"
 CTR_OPT_ROUNDS = "opt.rounds"
 CTR_PLACE_CELLS_LEGALIZED = "place.cells_legalized"
+CTR_PLACE_FM_GAIN_UPDATES = "place.fm_gain_updates"
+CTR_PLACE_FM_MOVES = "place.fm_moves"
+CTR_PLACE_FM_PASSES = "place.fm_passes"
 CTR_PLACE_QP_SOLVES = "place.qp_solves"
 CTR_PLACE_SPREAD_CALLS = "place.spread_calls"
 CTR_ROUTE_NETS_EXTRACTED_BATCH = "route.nets_extracted_batch"
@@ -136,6 +142,7 @@ CTR_NAMES = (
     CTR_CACHE_DISK_HITS,
     CTR_CACHE_MEMORY_HITS,
     CTR_CACHE_MISSES,
+    CTR_CACHE_NETLIST_HITS,
     CTR_CACHE_STORES,
     CTR_CHIP_3D_CONNECTIONS,
     CTR_CHIP_BUILDS,
@@ -156,6 +163,9 @@ CTR_NAMES = (
     CTR_OPT_HVT_SWAPS,
     CTR_OPT_ROUNDS,
     CTR_PLACE_CELLS_LEGALIZED,
+    CTR_PLACE_FM_GAIN_UPDATES,
+    CTR_PLACE_FM_MOVES,
+    CTR_PLACE_FM_PASSES,
     CTR_PLACE_QP_SOLVES,
     CTR_PLACE_SPREAD_CALLS,
     CTR_ROUTE_NETS_EXTRACTED_BATCH,

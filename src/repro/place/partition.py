@@ -10,13 +10,15 @@ from region metadata, with per-instance locking for pre-assigned objects
 
 from __future__ import annotations
 
-from collections import defaultdict
+import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..netlist.core import Netlist
+from ..obs import trace
+from ..obs.metrics import metrics
 
 
 @dataclass
@@ -64,6 +66,13 @@ def fm_bipartition(netlist: Netlist,
                    seed: int = 0) -> PartitionResult:
     """Min-cut bipartition with area balance.
 
+    Each step moves the unmoved cell of highest ``(gain, jitter)`` whose
+    move keeps both sides within the balance window (ties go to the cell
+    earliest in instance order).  The candidates live in one lazy max-heap
+    per side, so a step costs a few heap operations instead of a scan
+    over every cell; the move sequence is exactly the scan's (see
+    docs/placement.md).
+
     Args:
         netlist: the block netlist (ports are ignored for cut counting).
         initial: optional starting assignment; unlisted instances are
@@ -94,116 +103,159 @@ def fm_bipartition(netlist: Netlist,
     lo = total_area * (0.5 - balance_tol)
     hi = total_area * (0.5 + balance_tol)
 
-    # net -> movable instance ids (dedup); instance -> net ids
-    net_members: Dict[int, List[int]] = {}
-    inst_nets: Dict[int, List[int]] = defaultdict(list)
-    for net in netlist.nets.values():
-        if net.is_clock:
-            continue
-        members = sorted({r.inst for r in net.endpoints() if not r.is_port})
-        if len(members) < 2:
-            continue
-        net_members[net.id] = members
-        for m in members:
-            inst_nets[m].append(net.id)
-
-    def side_counts(net_id: int) -> List[int]:
-        counts = [0, 0]
-        for m in net_members[net_id]:
-            counts[assignment[m]] += 1
-        return counts
-
-    area = _areas(netlist, assignment)
-
-    for _ in range(max_passes):
-        counts = {nid: side_counts(nid) for nid in net_members}
-        gains: Dict[int, int] = {}
-        for inst in insts:
-            if inst.id in locked:
+    n = len(insts)
+    with trace.span("place.partition", cells=n) as sp:
+        # flat per-call structures, cells indexed by position in ``insts``
+        pos = {inst.id: k for k, inst in enumerate(insts)}
+        cell_area = [inst.area_um2 for inst in insts]
+        side = [assignment[inst.id] for inst in insts]
+        movable = [inst.id not in locked for inst in insts]
+        movers = [k for k in range(n) if movable[k]]
+        # net -> member cells (dedup, ascending id); cell -> net indices
+        net_members: List[List[int]] = []
+        inst_nets: List[List[int]] = [[] for _ in range(n)]
+        for net in netlist.nets.values():
+            if net.is_clock:
                 continue
-            g = 0
-            s = assignment[inst.id]
-            for nid in inst_nets[inst.id]:
-                c = counts[nid]
-                if c[s] == 1 and c[1 - s] > 0:
-                    g += 1  # moving uncuts the net
-                elif c[1 - s] == 0:
-                    g -= 1  # moving cuts the net
-            gains[inst.id] = g
+            members = sorted({r.inst for r in net.endpoints()
+                              if not r.is_port})
+            if len(members) < 2:
+                continue
+            idx = [pos[m] for m in members]
+            for k in idx:
+                inst_nets[k].append(len(net_members))
+            net_members.append(idx)
 
-        moved: List[int] = []
-        gain_trace: List[int] = []
-        locked_pass: Set[int] = set(locked)
-        cum = 0
-        order_jitter = {iid: rng.random() for iid in gains}
+        start = _areas(netlist, assignment)
+        area = [start[0], start[1]]
+        # feasibility falls monotonically with cell area (float rounding is
+        # monotone), so a side whose smallest mover cannot leave is stuck
+        min_area = min((cell_area[k] for k in movers), default=0.0)
+        passes = moves = gain_updates = 0
+        sp.set(nets=len(net_members))
 
-        for _step in range(len(gains)):
-            best_id, best_gain = None, None
-            for iid, g in gains.items():
-                if iid in locked_pass:
-                    continue
-                s = assignment[iid]
-                a = netlist.instances[iid].area_um2
-                if not (lo <= area[s] - a and area[1 - s] + a <= hi):
-                    continue
-                key = (g, order_jitter[iid])
-                if best_gain is None or key > best_gain:
-                    best_gain, best_id = key, iid
-            if best_id is None:
-                break
-            g = gains[best_id]
-            s = assignment[best_id]
-            a = netlist.instances[best_id].area_um2
-            assignment[best_id] = 1 - s
-            area[s] -= a
-            area[1 - s] += a
-            locked_pass.add(best_id)
-            cum += g
-            moved.append(best_id)
-            gain_trace.append(cum)
-            # update gains of neighbors
-            touched = set()
-            for nid in inst_nets[best_id]:
-                c = counts[nid]
-                c[s] -= 1
-                c[1 - s] += 1
-                touched.update(net_members[nid])
-            for t in touched:
-                if t in locked_pass or t in locked or t not in gains:
-                    continue
-                g2 = 0
-                st = assignment[t]
-                for nid in inst_nets[t]:
-                    c = counts[nid]
-                    if c[st] == 1 and c[1 - st] > 0:
-                        g2 += 1
-                    elif c[1 - st] == 0:
-                        g2 -= 1
-                gains[t] = g2
-            if len(moved) > 2 * len(gains):  # pragma: no cover - safety
-                break
+        for _ in range(max_passes):
+            passes += 1
+            counts = [[0, 0] for _ in net_members]
+            for c, members in zip(counts, net_members):
+                for m in members:
+                    c[side[m]] += 1
+            gain = [0] * n
+            for k in movers:
+                gain[k] = _gain(inst_nets[k], counts, side[k])
+            jitter = [0.0] * n
+            for k, j in zip(movers, rng.random(len(movers)).tolist()):
+                jitter[k] = j
+            # one max-heap per side of (gain, jitter, -position); entries
+            # go stale when their cell moves or its gain changes
+            heaps: List[List[Tuple[int, float, int]]] = [[], []]
+            for k in movers:
+                heaps[side[k]].append((-gain[k], -jitter[k], k))
+            heapq.heapify(heaps[0])
+            heapq.heapify(heaps[1])
+            done = [False] * n
+            moved: List[int] = []
+            gain_trace: List[int] = []
+            cum = 0
 
-        if not gain_trace or max(gain_trace) <= 0:
-            # revert the whole pass
-            for iid in moved:
-                s = assignment[iid]
-                a = netlist.instances[iid].area_um2
-                assignment[iid] = 1 - s
+            for _step in range(len(movers)):
+                best: Optional[Tuple[int, float, int]] = None
+                aside: List[Tuple[int, Tuple[int, float, int]]] = []
+                for s in (0, 1):
+                    from_s, to_s = area[s], area[1 - s]
+                    if not (lo <= from_s - min_area
+                            and to_s + min_area <= hi):
+                        continue
+                    heap = heaps[s]
+                    while heap:
+                        top = heap[0]
+                        k = top[2]
+                        if done[k] or -top[0] != gain[k]:
+                            heapq.heappop(heap)
+                            continue
+                        a = cell_area[k]
+                        if lo <= from_s - a and to_s + a <= hi:
+                            if best is None or top < best:
+                                best = top
+                            break
+                        aside.append((s, heapq.heappop(heap)))
+                if best is not None:
+                    # the chosen entry is still its heap's top: the
+                    # infeasible entries set aside above it go back after
+                    heapq.heappop(heaps[side[best[2]]])
+                for s, entry in aside:
+                    heapq.heappush(heaps[s], entry)
+                if best is None:
+                    break
+                k = best[2]
+                s = side[k]
+                a = cell_area[k]
+                side[k] = 1 - s
                 area[s] -= a
                 area[1 - s] += a
-            break
-        # keep the best prefix
-        best_k = int(np.argmax(gain_trace)) + 1
-        for iid in moved[best_k:]:
-            s = assignment[iid]
-            a = netlist.instances[iid].area_um2
-            assignment[iid] = 1 - s
-            area[s] -= a
-            area[1 - s] += a
+                done[k] = True
+                cum += gain[k]
+                moved.append(k)
+                gain_trace.append(cum)
+                # update gains of neighbors
+                touched = set()
+                for nid in inst_nets[k]:
+                    c = counts[nid]
+                    c[s] -= 1
+                    c[1 - s] += 1
+                    touched.update(net_members[nid])
+                for t in touched:
+                    if done[t] or not movable[t]:
+                        continue
+                    gain_updates += 1
+                    g = _gain(inst_nets[t], counts, side[t])
+                    if g != gain[t]:
+                        gain[t] = g
+                        heapq.heappush(heaps[side[t]], (-g, -jitter[t], t))
+            moves += len(moved)
 
-    return PartitionResult(assignment=assignment,
-                           cut_nets=count_cut(netlist, assignment),
-                           area=_areas(netlist, assignment))
+            if not gain_trace or max(gain_trace) <= 0:
+                # revert the whole pass
+                _undo(moved, side, area, cell_area)
+                break
+            # keep the best prefix
+            best_k = gain_trace.index(max(gain_trace)) + 1
+            _undo(moved[best_k:], side, area, cell_area)
+        sp.set(passes=passes)
+
+        for inst, s in zip(insts, side):
+            assignment[inst.id] = s
+        m = metrics()
+        m.counter("place.fm_passes").inc(passes)
+        m.counter("place.fm_moves").inc(moves)
+        m.counter("place.fm_gain_updates").inc(gain_updates)
+        return PartitionResult(assignment=assignment,
+                               cut_nets=count_cut(netlist, assignment),
+                               area=_areas(netlist, assignment))
+
+
+def _gain(nets: List[int], counts: List[List[int]], s: int) -> int:
+    """Cut-count change of moving a cell off side ``s`` (positive = fewer
+    cut nets)."""
+    g = 0
+    for nid in nets:
+        c = counts[nid]
+        if c[s] == 1 and c[1 - s] > 0:
+            g += 1  # moving uncuts the net
+        elif c[1 - s] == 0:
+            g -= 1  # moving cuts the net
+    return g
+
+
+def _undo(cells: List[int], side: List[int], area: List[float],
+          cell_area: List[float]) -> None:
+    """Move ``cells`` back, in order, updating the side areas."""
+    for k in cells:
+        s = side[k]
+        a = cell_area[k]
+        side[k] = 1 - s
+        area[s] -= a
+        area[1 - s] += a
 
 
 def balanced_split(scores: np.ndarray, areas: np.ndarray,

@@ -1,6 +1,8 @@
 """Tests for the persistent disk tier of the design cache."""
 
 import dataclasses
+import hashlib
+import json
 import pickle
 
 import pytest
@@ -160,3 +162,46 @@ def test_cache_stats_hit_rate_counts_both_tiers():
     assert d["hit_rate"] == pytest.approx(0.75)
     assert d["disk_hits"] == 1
     assert CacheStats().hit_rate == 0.0
+
+
+# ---- scalar reference paths ----------------------------------------------
+
+SCALAR_ENVS = ("REPRO_PLACE_SCALAR", "REPRO_STA_SCALAR")
+
+
+def _default_path_key(block, config, process):
+    """The key formula of the default (vectorized) path, spelled out."""
+    payload = {"block": block, "config": dataclasses.asdict(config),
+               "process": process_fingerprint(process),
+               "version": CODE_VERSION}
+    blob = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def test_key_unchanged_without_scalar_flags(process, monkeypatch):
+    for env in SCALAR_ENVS:
+        monkeypatch.delenv(env, raising=False)
+    cfg = FlowConfig(scale=0.4, fold=FoldSpec(mode="mincut"))
+    assert design_key("ncu", cfg, process) == \
+        _default_path_key("ncu", cfg, process)
+    # a flag set to anything but "1" leaves the default path active
+    monkeypatch.setenv("REPRO_PLACE_SCALAR", "0")
+    assert design_key("ncu", cfg, process) == \
+        _default_path_key("ncu", cfg, process)
+
+
+def test_scalar_runs_never_share_default_keys(process, monkeypatch):
+    """Regression: the scalar placer is not bit-exact, so its designs
+    must not answer (or be answered by) default-path requests."""
+    for env in SCALAR_ENVS:
+        monkeypatch.delenv(env, raising=False)
+    cfg = FlowConfig(scale=0.4)
+    keys = {design_key("ncu", cfg, process)}
+    for flags in (("REPRO_PLACE_SCALAR",), ("REPRO_STA_SCALAR",),
+                  SCALAR_ENVS):
+        for env in SCALAR_ENVS:
+            monkeypatch.delenv(env, raising=False)
+        for env in flags:
+            monkeypatch.setenv(env, "1")
+        keys.add(design_key("ncu", cfg, process))
+    assert len(keys) == 4

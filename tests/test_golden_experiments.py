@@ -13,6 +13,7 @@ To refresh intentionally after a model change::
         --write-golden tests/golden/golden.json
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from repro.analysis.golden import (DEFAULT_ATOL, GOLDEN_IDS,
                                    compare_to_golden, golden_metrics,
                                    load_golden, make_golden_payload,
                                    save_golden)
+from repro.core.cache import CODE_VERSION
 from repro.parallel.engine import run_experiments
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "golden.json"
@@ -93,3 +95,19 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded["metrics"] == {"x": -0.5}
     assert loaded["atol"] == 0.01
     assert path.read_text().endswith("\n")
+
+
+#: sha256 of ``tests/golden/golden.json`` frozen with the cache version it
+#: was produced under; refreshing the fixture without bumping
+#: ``repro.core.cache.CODE_VERSION`` (so disk caches keep serving designs
+#: from the old numerics) fails here
+GOLDEN_SHA256 = (
+    "c4a597306ca15e0e31c0115c6713a88d062def9cc9e5cc7a433c848398b48e3c", "2")
+
+
+def test_golden_refresh_bumps_code_version():
+    digest = hashlib.sha256(GOLDEN_PATH.read_bytes()).hexdigest()
+    assert (digest, CODE_VERSION) == GOLDEN_SHA256, (
+        "golden.json and CODE_VERSION move together: bump CODE_VERSION in "
+        "repro/core/cache.py when refreshing the fixture, then update "
+        "GOLDEN_SHA256")
