@@ -27,12 +27,10 @@ import sys
 import threading
 import time
 
-from repro.core.cache import DesignCache
 from repro.obs.metrics import metrics
-from repro.parallel.engine import run_serial_experiment
+from repro.parallel.engine import ExperimentRun, Serial, execute
 from repro.service import Client, ServiceConfig, serve_background
 from repro.service.schema import PointResult, PointSpec, SweepRequest
-from repro.tech import make_process
 
 QUICK_IDS = ("table1", "fig2", "fig6")
 FULL_IDS = ("table1", "table2", "fig2", "fig6")
@@ -62,13 +60,12 @@ def drive_client(port, request, slot):
 
 def serial_control(points):
     """Ground truth: each unique point run serially in this process."""
-    process = make_process()
-    cache = DesignCache()
+    policy = Serial()
     control = {}
-    for point in points:
-        run = run_serial_experiment(point, process=process, cache=cache)
+    for point, outcome in zip(points, execute(points, policy)):
+        run = ExperimentRun.from_outcome(point.experiment_id, outcome)
         control[point] = PointResult.from_run(run, point,
-                                              point.key(process))
+                                              point.key(policy.process))
     return control
 
 

@@ -42,7 +42,7 @@ import time
 
 def _cmd_experiments(_args) -> int:
     from .analysis.experiments import EXPERIMENTS
-    for eid, (_, desc) in EXPERIMENTS.items():
+    for eid, desc in EXPERIMENTS.items():
         print(f"{eid:8s} {desc}")
     return 0
 

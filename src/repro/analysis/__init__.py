@@ -11,8 +11,8 @@ from .irdrop import (IrDropResult, PdnConfig, analyze_chip_ir_drop,
                      solve_ir_drop)
 from .experiments import (EXPERIMENTS, REGISTRY, Experiment,
                           ExperimentOptions, ExperimentResult,
-                          LegacyRunnerError, ShapeCheck,
-                          UnknownExperimentError, run_experiment)
+                          ShapeCheck, UnknownExperimentError,
+                          run_experiment)
 from .layout_svg import render_block_svg, render_chip_svg
 from .report import MetricRow, design_metric_rows, format_table, relative
 from .export_json import block_to_dict, chip_to_dict, dump_json
@@ -26,7 +26,7 @@ __all__ = [
     "CriteriaAblation", "MacroHoleAblation", "TsvPitchPoint",
     "ablate_folding_criteria", "ablate_macro_holes", "sweep_tsv_pitch",
     "EXPERIMENTS", "REGISTRY", "Experiment", "ExperimentOptions",
-    "ExperimentResult", "LegacyRunnerError", "ShapeCheck",
+    "ExperimentResult", "ShapeCheck",
     "UnknownExperimentError", "run_experiment",
     "CornerReport", "analyze_corners", "signoff_summary",
     "CostModel", "DieCost", "cost_2d", "cost_3d", "cost_comparison",

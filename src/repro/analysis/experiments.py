@@ -17,10 +17,7 @@ options object and one entry point::
 
 :class:`ExperimentOptions` carries everything a runner may need --
 ``process``, ``scale``, ``seed``, ``cache``, ``trace`` -- so adding an
-option never touches eleven signatures again.  The pre-registry
-module-level runners (``run_table1`` ... ``run_dvt_claim``) are gone:
-after a deprecation cycle they now raise :class:`LegacyRunnerError`
-naming the replacement call.
+option never touches eleven signatures again.
 
 Every run accepts an optional :class:`repro.core.cache.DesignCache`
 (block designs recur across experiments -- with a persistent
@@ -36,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields as dataclass_fields, is_dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..core.bonding import bonding_power_sweep
 from ..core.flow import BlockDesign, FlowConfig, run_block_flow
@@ -797,115 +794,10 @@ def run_experiment(experiment_id: str,
         return exp.fn(opts)
 
 
-class LegacyRunnerError(TypeError):
-    """A removed pre-registry runner was called.
-
-    The module-level ``run_*`` wrappers spent their deprecation cycle
-    emitting :class:`DeprecationWarning`; they now fail hard so stale
-    call sites surface instead of silently re-threading keyword soup.
-    The message names the one supported entry point.
-    """
-
-
-def _legacy(experiment_id: str, old_name: str, process, scale, cache,
-            seed) -> ExperimentResult:
-    """Shared body of the removed module-level runners: hard error."""
-    raise LegacyRunnerError(
-        f"{old_name}() was removed; call run_experiment("
-        f"{experiment_id!r}, ExperimentOptions(process=..., scale=..., "
-        f"seed=..., cache=...)) instead")
-
-
-def run_table1(process: Optional[ProcessNode] = None, scale: float = 1.0,
-               cache=None, seed: int = 1) -> ExperimentResult:
-    """Removed: raises :class:`LegacyRunnerError`; use ``run_experiment("table1", ...)``."""
-    return _legacy("table1", "run_table1", process, scale, cache, seed)
-
-
-def run_table2(process: Optional[ProcessNode] = None, scale: float = 1.0,
-               cache=None, seed: int = 1) -> ExperimentResult:
-    """Removed: raises :class:`LegacyRunnerError`; use ``run_experiment("table2", ...)``."""
-    return _legacy("table2", "run_table2", process, scale, cache, seed)
-
-
-def run_table3(process: Optional[ProcessNode] = None, scale: float = 1.0,
-               cache=None, seed: int = 1) -> ExperimentResult:
-    """Removed: raises :class:`LegacyRunnerError`; use ``run_experiment("table3", ...)``."""
-    return _legacy("table3", "run_table3", process, scale, cache, seed)
-
-
-def run_table4(process: Optional[ProcessNode] = None, scale: float = 1.0,
-               cache=None, seed: int = 1) -> ExperimentResult:
-    """Removed: raises :class:`LegacyRunnerError`; use ``run_experiment("table4", ...)``."""
-    return _legacy("table4", "run_table4", process, scale, cache, seed)
-
-
-def run_table5(process: Optional[ProcessNode] = None, scale: float = 1.0,
-               cache=None, seed: int = 1) -> ExperimentResult:
-    """Removed: raises :class:`LegacyRunnerError`; use ``run_experiment("table5", ...)``."""
-    return _legacy("table5", "run_table5", process, scale, cache, seed)
-
-
-def run_fig2(process: Optional[ProcessNode] = None, scale: float = 1.0,
-             cache=None, seed: int = 1) -> ExperimentResult:
-    """Removed: raises :class:`LegacyRunnerError`; use ``run_experiment("fig2", ...)``."""
-    return _legacy("fig2", "run_fig2", process, scale, cache, seed)
-
-
-def run_fig3(process: Optional[ProcessNode] = None, scale: float = 1.0,
-             cache=None, seed: int = 1) -> ExperimentResult:
-    """Removed: raises :class:`LegacyRunnerError`; use ``run_experiment("fig3", ...)``."""
-    return _legacy("fig3", "run_fig3", process, scale, cache, seed)
-
-
-def run_fig6(process: Optional[ProcessNode] = None, scale: float = 1.0,
-             cache=None, seed: int = 1) -> ExperimentResult:
-    """Removed: raises :class:`LegacyRunnerError`; use ``run_experiment("fig6", ...)``."""
-    return _legacy("fig6", "run_fig6", process, scale, cache, seed)
-
-
-def run_fig7(process: Optional[ProcessNode] = None, scale: float = 1.0,
-             cache=None, seed: int = 1) -> ExperimentResult:
-    """Removed: raises :class:`LegacyRunnerError`; use ``run_experiment("fig7", ...)``."""
-    return _legacy("fig7", "run_fig7", process, scale, cache, seed)
-
-
-def run_fig8(process: Optional[ProcessNode] = None, scale: float = 1.0,
-             cache=None, seed: int = 1) -> ExperimentResult:
-    """Removed: raises :class:`LegacyRunnerError`; use ``run_experiment("fig8", ...)``."""
-    return _legacy("fig8", "run_fig8", process, scale, cache, seed)
-
-
-def run_dvt_claim(process: Optional[ProcessNode] = None,
-                  scale: float = 1.0, cache=None,
-                  seed: int = 1) -> ExperimentResult:
-    """Removed: raises :class:`LegacyRunnerError`; use ``run_experiment("dvt", ...)``."""
-    return _legacy("dvt", "run_dvt_claim", process, scale, cache, seed)
-
-
-_LEGACY_RUNNERS: Dict[str, Callable[..., ExperimentResult]] = {
-    "table1": run_table1, "table2": run_table2, "table3": run_table3,
-    "table4": run_table4, "table5": run_table5, "fig2": run_fig2,
-    "fig3": run_fig3, "fig6": run_fig6, "fig7": run_fig7,
-    "fig8": run_fig8, "dvt": run_dvt_claim,
-}
-
-def _removed_runner(eid: str) -> Callable[..., ExperimentResult]:
-    """A hard-error stand-in for ids that never had a legacy runner."""
-    def runner(process: Optional[ProcessNode] = None, scale: float = 1.0,
-               cache=None, seed: int = 1) -> ExperimentResult:
-        return _legacy(eid, f"run_{eid}", process, scale, cache, seed)
-    return runner
-
-
-#: experiment id -> (runner, description); the pre-registry public
-#: surface, kept as a read view of :data:`REGISTRY` (the runners are the
-#: deprecated keyword-style wrappers; post-registry ids get a hard-error
-#: stand-in, since they never had a keyword-style entry point).
-EXPERIMENTS: Dict[str, Tuple[Callable[..., ExperimentResult], str]] = {
-    eid: (_LEGACY_RUNNERS.get(eid) or _removed_runner(eid),
-          exp.description)
-    for eid, exp in REGISTRY.items()
+#: experiment id -> description, a read view of :data:`REGISTRY` (the
+#: CLI listing, request validation and ``SweepRequest.from_ids`` read it)
+EXPERIMENTS: Dict[str, str] = {
+    eid: exp.description for eid, exp in REGISTRY.items()
 }
 
 

@@ -26,6 +26,12 @@ DEFAULT_GRID: Tuple[Tuple[str, bool], ...] = (
 )
 
 
+def point_label(style: str, dual_vth: bool) -> str:
+    """A grid point's label, e.g. ``fold_f2f/dvt`` (also the task id
+    fault specs match on)."""
+    return f"{style}/{'dvt' if dual_vth else 'rvt'}"
+
+
 @dataclass
 class DesignPoint:
     """One evaluated configuration."""
@@ -40,8 +46,7 @@ class DesignPoint:
 
     @property
     def label(self) -> str:
-        vth = "dvt" if self.dual_vth else "rvt"
-        return f"{self.style}/{vth}"
+        return point_label(self.style, self.dual_vth)
 
     def dominates(self, other: "DesignPoint") -> bool:
         """Pareto dominance on (power, footprint, temperature)."""
@@ -115,27 +120,37 @@ def explore_design_space(process: ProcessNode,
 
     Args:
         process: technology node.
-        grid: (style, dual_vth) pairs to build.
+        grid: (style, dual_vth) pairs to build; a repeated pair is
+            evaluated once.
         scale: model scale (the default keeps the sweep to minutes).
         seed: generation seed.
         parallel: worker count; ``0``/``1`` evaluates in-process,
-            anything higher fans the grid points out across a
-            ``multiprocessing`` pool (same numbers, same order).
+            anything higher fans the grid points out across supervised
+            worker processes (same numbers, same order).
         cache_dir: optional persistent design-cache directory (shared
             by all workers when parallel).
 
     Returns:
         The evaluated points and their Pareto front.
+
+    Raises:
+        repro.parallel.EngineError: when a grid point fails (an active
+            fault plan applies to grid points under either policy).
     """
-    grid = list(grid)
-    if parallel > 1 and len(grid) > 1:
-        from ..parallel.engine import explore_points
-        points = explore_points(grid, scale=scale, seed=seed,
-                                parallel=parallel, cache_dir=cache_dir)
-    else:
-        from .cache import DesignCache
-        cache = DesignCache(cache_dir=cache_dir)
-        points = [evaluate_point(process, style, dual_vth, scale=scale,
-                                 seed=seed, cache=cache)
-                  for style, dual_vth in grid]
+    from ..parallel.engine import EngineError, Serial, Supervised, execute
+    from .cache import DesignCache
+    tasks = [(style, dual_vth, scale, seed) for style, dual_vth in grid]
+    policy = (Supervised(workers=parallel, cache_dir=cache_dir)
+              if parallel > 1 and len(tasks) > 1
+              else Serial(process, DesignCache(cache_dir=cache_dir)))
+    outcomes = execute(tasks, policy)
+    failures = {t: o for t, o in zip(tasks, outcomes) if o.status != "ok"}
+    if failures:
+        detail = "; ".join(
+            f"{point_label(style, dual_vth)}: {o.status} after "
+            f"{o.attempts} attempt(s) ({o.error})"
+            for (style, dual_vth, _, _), o in failures.items())
+        raise EngineError(f"{len(failures)} of {len(set(tasks))} grid "
+                          f"points failed: {detail}")
+    points = [o.value for o in outcomes]
     return ExplorationResult(points=points, pareto=pareto_front(points))

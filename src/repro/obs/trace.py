@@ -35,7 +35,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 #: the innermost open span of the current execution context
 _CURRENT: contextvars.ContextVar[Optional["Span"]] = \
@@ -130,6 +130,17 @@ class Tracer:
         finally:
             sp.duration_ms = (time.perf_counter() - t0) * 1e3
             _CURRENT.reset(token)
+
+    def adopt(self, spans: Iterable[Span]) -> None:
+        """Record spans finished in another process (a worker's shipped
+        spans), under the same switch and cap as local ones."""
+        if not self.enabled:
+            return
+        for sp in spans:
+            if len(self.spans) < self.max_spans:
+                self.spans.append(sp)
+            else:
+                self.dropped += 1
 
     def drain(self) -> List[Span]:
         """Return the recorded spans and clear the buffer."""

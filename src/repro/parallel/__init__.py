@@ -1,11 +1,10 @@
-"""Parallel experiment execution and design-space fan-out."""
+"""Experiment and design-space point execution: one executor, a serial
+and a supervised policy."""
 
-from .engine import (BenchReport, EngineError, ExperimentRun,
-                     ResilienceConfig, explore_points, run_experiments,
-                     run_serial_experiment, run_supervised_experiment,
-                     run_sweep)
+from .engine import (BenchReport, EngineError, ExperimentRun, Outcome,
+                     ResilienceConfig, Serial, Supervised, execute,
+                     run_experiments, run_sweep)
 
-__all__ = ["BenchReport", "EngineError", "ExperimentRun",
-           "ResilienceConfig", "explore_points", "run_experiments",
-           "run_serial_experiment", "run_supervised_experiment",
-           "run_sweep"]
+__all__ = ["BenchReport", "EngineError", "ExperimentRun", "Outcome",
+           "ResilienceConfig", "Serial", "Supervised", "execute",
+           "run_experiments", "run_sweep"]

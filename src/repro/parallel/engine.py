@@ -1,40 +1,52 @@
-"""Resilient process-pool experiment engine.
+"""One point executor for experiments and design-space grid points.
 
-The paper's artifacts are eleven independent tables/figures; the
-design-space explorer walks an independent grid of chip configurations.
-Both are embarrassingly parallel, so this module fans them out across
-``multiprocessing`` workers -- and, because folding/bonding sweeps are
-exactly the long, restartable batch workloads where one bad task must
-not poison the run, it supervises those workers instead of trusting
-them:
+The paper's artifacts are twelve independent experiments; the
+design-space explorer walks an independent grid of chip
+configurations.  Every such point -- a bench sweep, an explore grid,
+a service broker shard -- runs through :func:`execute`, under one of
+two policies the caller picks:
 
-* every task runs in its own spawned worker process with worker-local
-  state (a fresh :class:`~repro.tech.process.ProcessNode` and
-  :class:`~repro.core.cache.DesignCache`; pointing all workers at one
-  shared ``cache_dir`` makes warm reruns near-free -- disk writes are
-  atomic, so concurrent workers share the directory safely);
-* result collection is timeout-aware: the supervisor multiplexes over
-  worker pipes with bounded waits, so a *crashed* worker is detected
-  by its exit code and a *hung* worker is killed at the per-task
-  ``timeout_s`` deadline -- neither can block :func:`run_experiments`
-  forever (the old ``pool.map`` collection could);
-* failed attempts are retried up to ``retries`` times with exponential
-  backoff plus deterministic jitter (seeded per task/attempt, so a
-  rerun schedules identically), and a killed or crashed worker is
-  replaced by a fresh process for the next attempt;
-* degradation is graceful: tasks that exhaust their attempts land in
-  the :class:`BenchReport` with ``status`` / ``attempts`` / ``error``
-  set instead of raising -- partial results are first-class
-  (:meth:`BenchReport.completed` vs :attr:`BenchReport.all_passed`);
-* tasks carry an explicit ``(experiment id, scale, seed)`` triple, so
-  scheduling order cannot influence the numbers: a parallel run is
-  byte-identical (after key-sorted serialization) to the serial run;
-* observability survives the pool: each task ships back its recorded
-  spans, its metrics *delta* and its cache-stat delta; the parent
-  merges everything into one coherent timeline, and every retry,
-  timeout and crash is recorded as ``tasks.retried`` /
-  ``tasks.timed_out`` / ``tasks.crashed`` counters plus zero-length
-  marker spans.
+* :class:`Serial` runs attempts in-process against a caller-owned
+  :class:`~repro.tech.process.ProcessNode` and
+  :class:`~repro.core.cache.DesignCache` (no spawn cost, and the pair
+  amortizes across calls).  Timeouts are cooperative: the deadline is
+  handed to the fault hooks, so an injected hang raises
+  :class:`~repro.faults.inject.InjectedHang` once the budget is spent,
+  but a genuinely slow stage cannot be preempted;
+* :class:`Supervised` runs every attempt in its own spawned worker
+  process (a fresh process node, and a design cache on the shared
+  ``cache_dir`` -- disk writes are atomic, so concurrent workers share
+  the directory safely and warm reruns are near-free).  The supervisor
+  keeps at most ``workers`` alive and multiplexes over their pipes with
+  bounded waits, so a *crashed* worker is detected by its exit code and
+  a *hung* one is killed at the per-attempt ``timeout_s`` deadline --
+  neither can block collection forever.
+
+Both policies share everything else:
+
+* one attempt body (:func:`_attempt`): snapshot the cache (and, in a
+  worker, the observability) state, enter the task's fault context,
+  pass the engine-level ``fault_point("task")``, run the task -- so
+  every injection an attempt performs is accounted for the same way
+  under either policy;
+* one retry loop: failed attempts are retried up to ``retries`` times
+  with exponential backoff plus deterministic jitter (seeded per
+  task/attempt, so a rerun schedules identically), and every retry,
+  timeout, crash and give-up is recorded as ``tasks.*`` counters plus
+  zero-length ``task.*`` marker spans;
+* graceful degradation: a task that exhausts its attempts comes back
+  as an :class:`Outcome` with ``status`` / ``attempts`` / ``error`` set
+  instead of raising -- partial results are first-class;
+* coalescing: a task listed twice runs once and its outcome fills
+  every slot.
+
+Tasks carry explicit ``(id, scale, seed)`` coordinates, so scheduling
+order cannot influence the numbers: a supervised run is byte-identical
+(after key-sorted serialization) to the serial run.  Observability
+survives the process boundary: each worker attempt ships back its
+spans and its metrics and cache-stat deltas, and the parent folds them
+into its own tracer and registry -- after :func:`execute` returns,
+both policies leave the same record behind.
 
 Deterministic chaos testing plugs in through :mod:`repro.faults`: a
 :class:`~repro.faults.plan.FaultPlan` (from ``REPRO_FAULTS`` or passed
@@ -65,21 +77,25 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from ..analysis.experiments import (EXPERIMENTS, ExperimentOptions,
                                     result_to_dict, run_experiment)
 from ..core.cache import DesignCache
+from ..core.explore import evaluate_point, point_label
 from ..faults import inject as faults
 from ..faults.plan import FaultPlan
 from ..obs import export, trace
 from ..obs.metrics import metrics
 from ..service.schema import PointSpec, SweepRequest
-from ..tech.process import make_process
+from ..tech.process import ProcessNode, make_process
 
-#: worker-local state built once per worker process
-_WORKER: Dict[str, Any] = {}
+#: retry backoff: the first retry waits ``BACKOFF_S``, each later one
+#: ``BACKOFF_FACTOR`` times longer, plus up to ``JITTER`` of seeded spread
+BACKOFF_S = 0.25
+BACKOFF_FACTOR = 2.0
+JITTER = 0.25
+#: how long a stopped worker may take to die before terminate -> kill
+TERM_GRACE_S = 2.0
 
-
-def _init_worker(cache_dir: Optional[str]) -> None:
-    _WORKER["process"] = make_process()
-    _WORKER["cache"] = DesignCache(cache_dir=cache_dir)
-
+#: one unit of work: an experiment point, or a design-space grid point
+#: ``(style, dual_vth, scale, seed)``
+Task = Union[PointSpec, Tuple[str, bool, float, int]]
 
 #: the additive CacheStats fields (``hit_rate`` is derived, recomputed
 #: after aggregation)
@@ -89,13 +105,13 @@ _CACHE_FIELDS = ("hits", "disk_hits", "misses", "stores", "evictions",
 
 def _cache_delta(after: Dict[str, float],
                  before: Dict[str, float]) -> Dict[str, float]:
-    """One task's contribution to a worker's cumulative cache stats."""
+    """One attempt's contribution to a cache's cumulative stats."""
     return {k: after.get(k, 0) - before.get(k, 0) for k in _CACHE_FIELDS}
 
 
 def _aggregate_cache(deltas: Iterable[Dict[str, float]]
                      ) -> Dict[str, float]:
-    """Fold per-task cache-stat deltas into one stats dict."""
+    """Fold cache-stat deltas into one stats dict."""
     total: Dict[str, float] = {k: 0 for k in _CACHE_FIELDS}
     for d in deltas:
         for k in _CACHE_FIELDS:
@@ -107,8 +123,8 @@ def _aggregate_cache(deltas: Iterable[Dict[str, float]]
 
 
 class EngineError(RuntimeError):
-    """Unrecoverable engine failure (exploration tasks exhausted their
-    retries and the caller did not opt into partial results)."""
+    """Unrecoverable engine failure (design-space grid points exhausted
+    their retries)."""
 
 
 @dataclass(frozen=True)
@@ -116,43 +132,77 @@ class ResilienceConfig:
     """Fault-tolerance knobs for one engine run.
 
     Attributes:
-        timeout_s: per-task wall-clock budget per attempt; a worker
-            still running at the deadline is killed and the attempt
-            counts as a timeout.  ``None`` disables the deadline
-            (crashed workers are still detected -- collection never
-            blocks forever on a dead process).
+        timeout_s: per-attempt wall-clock budget.  A supervised worker
+            still running at the deadline is killed; a serial attempt
+            gets it as a cooperative deadline (it preempts injected
+            hangs).  ``None`` disables the deadline (crashed workers
+            are still detected -- collection never blocks forever on a
+            dead process).
         retries: extra attempts after the first (``0`` = fail fast).
-        backoff_s: base delay before the second attempt.
-        backoff_factor: exponential growth of the delay per attempt.
-        jitter: fractional random spread added to each delay; the
-            randomness is seeded per (task, attempt), so reruns of the
-            same request schedule identically.
-        term_grace_s: how long a killed worker may take to die before
-            escalating from ``terminate`` to ``kill``.
     """
 
     timeout_s: Optional[float] = None
     retries: int = 0
-    backoff_s: float = 0.25
-    backoff_factor: float = 2.0
-    jitter: float = 0.25
-    term_grace_s: float = 2.0
 
     @property
     def max_attempts(self) -> int:
         return max(1, self.retries + 1)
 
-    def backoff_delay(self, task_key: str, attempt: int,
-                      seed: int = 0) -> float:
-        """Delay before retrying ``task_key`` after failed ``attempt``.
 
-        Exponential in the attempt number with deterministic jitter
-        (string-seeded :class:`random.Random` is stable across
-        processes), so the same run replays the same schedule.
-        """
-        base = self.backoff_s * (self.backoff_factor ** (attempt - 1))
-        rng = random.Random(f"repro-backoff:{seed}:{task_key}:{attempt}")
-        return base * (1.0 + self.jitter * rng.random())
+def _backoff_delay(label: str, attempt: int) -> float:
+    """Delay before retrying task ``label`` after failed ``attempt``.
+
+    Exponential in the attempt number with deterministic jitter
+    (string-seeded :class:`random.Random` is stable across processes),
+    so the same run replays the same schedule.
+    """
+    base = BACKOFF_S * (BACKOFF_FACTOR ** (attempt - 1))
+    rng = random.Random(f"repro-backoff:{label}:{attempt}")
+    return base * (1.0 + JITTER * rng.random())
+
+
+@dataclass
+class Serial:
+    """In-process policy: attempts run on the calling thread against a
+    caller-owned process node and design cache; timeouts only preempt
+    injected hangs (use :class:`Supervised` for hard kills)."""
+
+    process: ProcessNode = field(default_factory=make_process)
+    cache: DesignCache = field(default_factory=DesignCache)
+
+
+@dataclass(frozen=True)
+class Supervised:
+    """Worker policy: every attempt runs in its own spawned process
+    with a fresh process node and a design cache on ``cache_dir``; at
+    most ``workers`` run at once.  A worker is killed at the attempt
+    deadline, a crashed one is detected by its exit code, and either
+    is replaced by a fresh process for the next attempt."""
+
+    workers: int = 1
+    cache_dir: Optional[str] = None
+
+
+@dataclass
+class Outcome:
+    """Final state of one task, under either policy.
+
+    ``status`` is ``"ok"`` (``value`` holds the result: an experiment's
+    :func:`~repro.analysis.experiments.result_to_dict` form, or a grid
+    point's :class:`~repro.core.explore.DesignPoint`), ``"failed"``
+    (raised or crashed on every attempt) or ``"timeout"`` (cut at the
+    deadline on every attempt).  ``attempts`` counts the attempts that
+    ran and ``error`` carries the final one's failure; ``wall_s`` and
+    ``cache`` (design-cache-stat deltas) sum over every attempt.
+    """
+
+    status: str = "pending"
+    value: Any = None
+    attempts: int = 0
+    error: Optional[str] = None
+    wall_s: float = 0.0
+    cache: Dict[str, float] = field(
+        default_factory=lambda: _aggregate_cache([]))
 
 
 @dataclass
@@ -173,6 +223,17 @@ class ExperimentRun:
     attempts: int = 1
     error: Optional[str] = None
 
+    @classmethod
+    def from_outcome(cls, experiment_id: str,
+                     outcome: Outcome) -> "ExperimentRun":
+        """The run record of one experiment task's :class:`Outcome`."""
+        ok = outcome.status == "ok"
+        return cls(experiment_id=experiment_id, wall_s=outcome.wall_s,
+                   all_passed=ok and outcome.value["all_passed"],
+                   result=outcome.value if ok else {},
+                   status=outcome.status, attempts=outcome.attempts,
+                   error=outcome.error)
+
 
 @dataclass
 class BenchReport:
@@ -190,10 +251,10 @@ class BenchReport:
     parallel: int
     scale: float
     seed: int
-    #: aggregated across the whole run -- serial *and* parallel (worker
-    #: deltas are summed back; ``None`` only for empty runs)
+    #: aggregated across the whole run (per-task deltas summed;
+    #: ``None`` only for empty runs)
     cache_stats: Optional[Dict[str, float]] = None
-    #: per-task cache-stat deltas, request order (parallel runs)
+    #: per-task cache-stat deltas, request order
     worker_cache_stats: List[Dict[str, float]] = field(default_factory=list)
     #: every span recorded during the run (dict form; workers merged in)
     spans: List[Dict[str, Any]] = field(default_factory=list)
@@ -295,127 +356,94 @@ class BenchReport:
                                   meta=header)
 
 
-def _run_one(task: Tuple[str, float, int]) -> Tuple[ExperimentRun, Dict]:
-    """Worker body: run one experiment against worker-local state.
+# ---------------------------------------------------------------------------
+# The attempt body both policies share
+# ---------------------------------------------------------------------------
 
-    Ships back, besides the serialized result, this *task's* spans and
-    its cache/metrics deltas -- worker state can be cumulative, so only
-    before/after differences aggregate correctly in the parent.
+def _task_label(task: Task) -> str:
+    """The task id fault specs and backoff jitter key on."""
+    if isinstance(task, PointSpec):
+        return task.experiment_id
+    return point_label(task[0], task[1])
+
+
+def _attempt(task: Task, attempt: int, deadline: Optional[float],
+             process: ProcessNode, cache: DesignCache, ship_obs: bool
+             ) -> Tuple[str, Any, Dict[str, Any]]:
+    """Run one attempt of one task.
+
+    The snapshots are taken *before* the engine-level ``task`` fault
+    point, so whatever the attempt injects lands in its payload.
+    Returns ``(status, value, payload)``: status ``"ok"`` with the
+    task's value, or ``"failed"`` / ``"timeout"`` / ``"crash"`` with
+    the error text.  The payload holds the attempt's cache-stat delta
+    and, with ``ship_obs`` (a worker's attempt, whose records would
+    otherwise die with its process), its spans and metrics delta.
+    Never raises for task-level failures.
     """
-    experiment_id, scale, seed = task
     tracer = trace.get_tracer()
     n_spans = len(tracer.spans)
-    metrics_before = metrics().snapshot()
-    cache_before = _WORKER["cache"].stats.as_dict()
-    t0 = time.perf_counter()
-    result = run_experiment(experiment_id, ExperimentOptions(
-        process=_WORKER["process"], scale=scale, seed=seed,
-        cache=_WORKER["cache"]))
-    run = ExperimentRun(experiment_id=experiment_id,
-                        wall_s=time.perf_counter() - t0,
-                        all_passed=result.all_passed,
-                        result=result_to_dict(result))
-    payload = {
-        "cache": _cache_delta(_WORKER["cache"].stats.as_dict(),
-                              cache_before),
-        "spans": [sp.to_dict() for sp in tracer.spans[n_spans:]],
-        "metrics": metrics().diff(metrics_before),
-    }
-    return run, payload
-
-
-def _run_point(task: Tuple[str, bool, float, int]):
-    """Worker body: evaluate one design-space grid point."""
-    from ..core.explore import evaluate_point
-    style, dual_vth, scale, seed = task
-    return evaluate_point(_WORKER["process"], style, dual_vth,
-                          scale=scale, seed=seed,
-                          cache=_WORKER["cache"])
-
-
-def _task_label(kind: str, task: Tuple) -> str:
-    """The task id fault specs and backoff jitter key on."""
-    if kind == "experiment":
-        return task[0]
-    style, dual_vth = task[0], task[1]
-    return f"{style}/{'dvt' if dual_vth else 'rvt'}"
-
-
-def _obs_payload(n_spans: int, metrics_before: Dict,
-                 cache_before: Dict[str, float]) -> Dict[str, Any]:
-    """This worker's observability delta since the given snapshots."""
-    tracer = trace.get_tracer()
-    cache = _WORKER.get("cache")
-    after = cache.stats.as_dict() if cache is not None else dict(
-        cache_before)
-    return {
-        "cache": _cache_delta(after, cache_before),
-        "spans": [sp.to_dict() for sp in tracer.spans[n_spans:]],
-        "metrics": metrics().diff(metrics_before),
-    }
-
-
-def _child_main(conn, kind: str, index: int, task: Tuple, attempt: int,
-                cache_dir: Optional[str],
-                plan: Optional[FaultPlan]) -> None:
-    """Entry point of one supervised worker process (spawn target).
-
-    Sends exactly one message back: ``("ok", index, value, payload)``
-    or ``("error", index, message, payload)`` -- the payload carries
-    the worker's spans/metrics/cache deltas either way, so injected
-    faults recorded before a failure still aggregate in the parent.
-    Crashes and hangs send nothing; the supervisor detects those from
-    the outside.
-    """
-    n_spans = len(trace.get_tracer().spans)
-    metrics_before = metrics().snapshot()
-    cache_before = {k: 0.0 for k in _CACHE_FIELDS}
+    metrics_before = metrics().snapshot() if ship_obs else None
+    cache_before = cache.stats.as_dict()
+    value: Any
     try:
-        # the supervisor's resolved plan is authoritative -- installing
-        # None too keeps a control run inert even when the child
-        # inherited a REPRO_FAULTS environment variable
-        faults.install(plan)
-        _init_worker(cache_dir)
-        with faults.task_context(_task_label(kind, task), attempt):
+        with faults.task_context(_task_label(task), attempt, deadline):
             faults.fault_point("task")
-            if kind == "experiment":
-                run, payload = _run_one(task)
-                msg = ("ok", index, run, payload)
+            if isinstance(task, PointSpec):
+                value = result_to_dict(run_experiment(
+                    task.experiment_id, ExperimentOptions(
+                        process=process, scale=task.scale,
+                        seed=task.seed, cache=cache)))
             else:
-                value = _run_point(task)
-                msg = ("ok", index, value,
-                       _obs_payload(n_spans, metrics_before,
-                                    cache_before))
-    except faults.InjectedCrash:
+                style, dual_vth, scale, seed = task
+                value = evaluate_point(process, style, dual_vth,
+                                       scale=scale, seed=seed, cache=cache)
+        status = "ok"
+    except faults.InjectedHang as exc:
+        status, value = "timeout", str(exc)
+    except faults.InjectedCrash as exc:
+        status, value = "crash", f"{type(exc).__name__}: {exc}"
+    except Exception as exc:
+        status, value = "failed", f"{type(exc).__name__}: {exc}"
+    payload: Dict[str, Any] = {
+        "cache": _cache_delta(cache.stats.as_dict(), cache_before)}
+    if metrics_before is not None:
+        payload["spans"] = tracer.spans[n_spans:]
+        payload["metrics"] = metrics().diff(metrics_before)
+    return status, value, payload
+
+
+def _child_main(conn, task: Task, attempt: int, cache_dir: Optional[str],
+                plan: Optional[FaultPlan]) -> None:
+    """Entry point of one supervised attempt (spawn target).
+
+    Sends exactly one ``(status, value, payload)`` message back.  An
+    injected crash exits without a word and a hang never returns: the
+    supervisor detects both from the outside.
+    """
+    # the supervisor's resolved plan is authoritative -- installing
+    # None too keeps a control run inert even when the child inherited
+    # a REPRO_FAULTS environment variable
+    faults.install(plan)
+    status, value, payload = _attempt(task, attempt, None, make_process(),
+                                      DesignCache(cache_dir=cache_dir),
+                                      ship_obs=True)
+    if status == "crash":
         # die without a word: the supervisor must detect this from the
         # exit code alone and replace the worker
         conn.close()
         os._exit(3)
-    except Exception as exc:
-        msg = ("error", index, f"{type(exc).__name__}: {exc}",
-               _obs_payload(n_spans, metrics_before, cache_before))
     try:
-        conn.send(msg)
+        conn.send((status, value, payload))
     except Exception:
         pass
     finally:
         conn.close()
 
 
-@dataclass
-class _Outcome:
-    """Final state of one supervised task."""
-
-    status: str                      # "ok" | "failed" | "timeout"
-    value: Any = None                # ExperimentRun or DesignPoint
-    #: every observability delta the task's attempts shipped, in
-    #: attempt order -- a failed-then-retried attempt's injected
-    #: faults still aggregate in the parent
-    payloads: List[Dict] = field(default_factory=list)
-    attempts: int = 1
-    error: Optional[str] = None
-    wall_s: float = 0.0
-
+# ---------------------------------------------------------------------------
+# The executor
+# ---------------------------------------------------------------------------
 
 @dataclass
 class _Live:
@@ -428,14 +456,14 @@ class _Live:
     t0: float
 
 
-def _stop_worker(lv: _Live, grace_s: float) -> None:
+def _stop_worker(lv: _Live) -> None:
     """Kill one worker process, escalating terminate -> kill."""
     try:
         lv.proc.terminate()
-        lv.proc.join(grace_s)
+        lv.proc.join(TERM_GRACE_S)
         if lv.proc.is_alive():
             lv.proc.kill()
-            lv.proc.join(grace_s)
+            lv.proc.join(TERM_GRACE_S)
     except Exception:
         pass
     try:
@@ -444,83 +472,119 @@ def _stop_worker(lv: _Live, grace_s: float) -> None:
         pass
 
 
-def _supervise(kind: str, tasks: Sequence[Tuple], parallel: int,
-               cache_dir: Optional[str], res: ResilienceConfig,
-               seed: int, mp_context: str,
-               plan: Optional[FaultPlan]) -> Dict[int, _Outcome]:
-    """Run every task in its own worker process, resiliently.
+def execute(tasks: Sequence[Task], policy: Union[Serial, Supervised],
+            resilience: Optional[ResilienceConfig] = None,
+            fault_plan: Optional[FaultPlan] = None) -> List[Outcome]:
+    """Run ``tasks`` under ``policy``; one :class:`Outcome` per task,
+    in task order.
 
-    The scheduler keeps at most ``parallel`` workers alive, collects
-    results by multiplexing over their pipes with bounded waits, kills
-    workers that outlive the per-task deadline, detects crashed
-    workers by exit code, and reschedules failed attempts (with
-    backoff) until ``res.max_attempts`` is exhausted.  Always returns
-    one :class:`_Outcome` per task; never raises for task-level
-    failures and never blocks on a dead worker.
+    ``fault_plan`` defaults to the ambient plan (``REPRO_FAULTS`` or a
+    prior :func:`repro.faults.install`); a supervised run ships it to
+    every worker, a serial run installs an explicit one for the call's
+    duration.  A task listed more than once runs once, and the same
+    :class:`Outcome` fills each of its slots.  Never raises for
+    task-level failures.
     """
-    ctx = multiprocessing.get_context(mp_context)
-    n = len(tasks)
-    max_workers = max(1, min(parallel, n))
-    #: (not_before monotonic, index, attempt)
-    pending: List[Tuple[float, int, int]] = [(0.0, i, 1)
-                                             for i in range(n)]
-    live: Dict[int, _Live] = {}
-    out: Dict[int, _Outcome] = {}
-    #: wall-clock accumulated by earlier (failed) attempts, per task
-    spent: Dict[int, float] = {}
-    #: observability payloads shipped by earlier attempts, per task
-    shipped: Dict[int, List[Dict]] = {}
+    res = resilience if resilience is not None else ResilienceConfig()
+    unique = list(dict.fromkeys(tasks))
+    with ExitStack() as stack:
+        if isinstance(policy, Serial) and fault_plan is not None:
+            stack.enter_context(faults.installed(fault_plan))
+        plan = fault_plan if fault_plan is not None else \
+            faults.active_plan()
+        outcomes = _run(unique, policy, res, plan)
+    by_task = dict(zip(unique, outcomes))
+    return [by_task[t] for t in tasks]
 
-    def finish_failure(index: int, attempt: int, status: str,
-                       error: str, elapsed: float,
-                       payload: Optional[Dict]) -> None:
-        """Retry a failed attempt or record the final outcome."""
-        label = _task_label(kind, tasks[index])
-        spent[index] = spent.get(index, 0.0) + elapsed
+
+def _run(tasks: Sequence[Task], policy: Union[Serial, Supervised],
+         res: ResilienceConfig,
+         plan: Optional[FaultPlan]) -> List[Outcome]:
+    """The retry loop: launch ready attempts, collect finished ones,
+    and retry each failure with backoff until every task has an
+    outcome."""
+    capacity = 1 if isinstance(policy, Serial) else \
+        max(1, min(policy.workers, len(tasks)))
+    ctx = multiprocessing.get_context("spawn")
+    outcomes = [Outcome() for _ in tasks]
+    #: (not before, monotonic; task index; attempt)
+    pending: List[Tuple[float, int, int]] = [(0.0, i, 1)
+                                             for i in range(len(tasks))]
+    live: Dict[int, _Live] = {}
+    unsettled = len(tasks)
+
+    def settle(index: int, attempt: int, status: str, value: Any,
+               elapsed: float, payload: Optional[Dict]) -> None:
+        """Record one finished attempt: success, retry, or give up."""
+        nonlocal unsettled
+        o = outcomes[index]
+        o.attempts = attempt
+        o.wall_s += elapsed
         if payload is not None:
-            shipped.setdefault(index, []).append(payload)
+            o.cache = _aggregate_cache([o.cache, payload["cache"]])
+            if "metrics" in payload:
+                metrics().merge_snapshot(payload["metrics"])
+                trace.get_tracer().adopt(payload["spans"])
+        if status == "ok":
+            o.status, o.value = "ok", value
+            unsettled -= 1
+            return
+        label = _task_label(tasks[index])
+        if status == "timeout":
+            metrics().counter("tasks.timed_out").inc()
+            with trace.span("task.timeout", task=label, attempt=attempt,
+                            timeout_s=res.timeout_s):
+                pass
         if attempt < res.max_attempts:
             metrics().counter("tasks.retried").inc()
-            delay = res.backoff_delay(label, attempt, seed)
+            delay = _backoff_delay(label, attempt)
             with trace.span("task.retry", task=label, attempt=attempt,
                             reason=status, backoff_s=round(delay, 4)):
                 pass
-            pending.append((time.monotonic() + delay, index,
-                            attempt + 1))
+            pending.append((time.monotonic() + delay, index, attempt + 1))
         else:
             metrics().counter("tasks.failed").inc()
             with trace.span("task.gave_up", task=label, attempt=attempt,
                             reason=status):
                 pass
-            out[index] = _Outcome(status=status,
-                                  payloads=shipped.get(index, []),
-                                  attempts=attempt, error=error,
-                                  wall_s=spent[index])
+            o.status, o.error = status, value
+            unsettled -= 1
 
     try:
-        while len(out) < n:
-            now = time.monotonic()
-            # launch every ready pending task while capacity remains
+        while unsettled:
+            # launch every ready pending attempt while capacity remains
             pending.sort()
-            while pending and pending[0][0] <= now and \
-                    len(live) < max_workers:
+            while pending and pending[0][0] <= time.monotonic() and \
+                    len(live) < capacity:
                 _, index, attempt = pending.pop(0)
+                t0 = time.monotonic()
+                deadline = t0 + res.timeout_s if res.timeout_s else None
+                if isinstance(policy, Serial):
+                    status, value, payload = _attempt(
+                        tasks[index], attempt, deadline, policy.process,
+                        policy.cache, ship_obs=False)
+                    # in-process there is no worker to lose: an
+                    # injected crash is a plain failure
+                    settle(index, attempt,
+                           "failed" if status == "crash" else status,
+                           value, time.monotonic() - t0, payload)
+                    continue
                 parent_conn, child_conn = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
                     target=_child_main,
-                    args=(child_conn, kind, index, tasks[index], attempt,
-                          cache_dir, plan))
+                    args=(child_conn, tasks[index], attempt,
+                          policy.cache_dir, plan))
                 proc.start()
                 child_conn.close()
-                deadline = (now + res.timeout_s
-                            if res.timeout_s else None)
                 live[index] = _Live(proc=proc, conn=parent_conn,
                                     attempt=attempt, deadline=deadline,
-                                    t0=now)
+                                    t0=t0)
             if not live:
-                # nothing running: sleep toward the earliest backoff
-                wake = min(p[0] for p in pending)
-                time.sleep(min(max(wake - time.monotonic(), 0.0), 0.05))
+                if unsettled:
+                    # nothing running: sleep toward the earliest backoff
+                    wake = min(p[0] for p in pending)
+                    time.sleep(min(max(wake - time.monotonic(), 0.0),
+                                   0.05))
                 continue
             # bounded multiplexed wait: readable pipes, next deadline,
             # or the next pending launch -- whichever comes first
@@ -547,57 +611,41 @@ def _supervise(kind: str, tasks: Sequence[Tuple], parallel: int,
                         msg = None
                 if msg is not None:
                     del live[index]
-                    lv.proc.join(res.term_grace_s)
+                    lv.proc.join(TERM_GRACE_S)
                     if lv.proc.is_alive():
-                        _stop_worker(lv, res.term_grace_s)
+                        _stop_worker(lv)
                     else:
                         lv.conn.close()
-                    status, _, value, payload = msg
-                    elapsed = now - lv.t0
-                    if status == "ok":
-                        if payload is not None:
-                            shipped.setdefault(index, []).append(payload)
-                        out[index] = _Outcome(
-                            status="ok", value=value,
-                            payloads=shipped.get(index, []),
-                            attempts=lv.attempt,
-                            wall_s=spent.get(index, 0.0) + elapsed)
-                    else:
-                        finish_failure(index, lv.attempt, "failed",
-                                       value, elapsed, payload)
+                    status, value, payload = msg
+                    settle(index, lv.attempt, status, value, now - lv.t0,
+                           payload)
                 elif not lv.proc.is_alive():
                     del live[index]
                     lv.conn.close()
                     metrics().counter("tasks.crashed").inc()
-                    with trace.span(
-                            "task.crash",
-                            task=_task_label(kind, tasks[index]),
-                            attempt=lv.attempt,
-                            exitcode=lv.proc.exitcode):
+                    with trace.span("task.crash",
+                                    task=_task_label(tasks[index]),
+                                    attempt=lv.attempt,
+                                    exitcode=lv.proc.exitcode):
                         pass
-                    finish_failure(
-                        index, lv.attempt, "failed",
-                        f"worker crashed (exit code "
-                        f"{lv.proc.exitcode})", now - lv.t0, None)
+                    settle(index, lv.attempt, "failed",
+                           f"worker crashed (exit code "
+                           f"{lv.proc.exitcode})", now - lv.t0, None)
                 elif lv.deadline is not None and now >= lv.deadline:
                     del live[index]
-                    _stop_worker(lv, res.term_grace_s)
-                    metrics().counter("tasks.timed_out").inc()
-                    with trace.span(
-                            "task.timeout",
-                            task=_task_label(kind, tasks[index]),
-                            attempt=lv.attempt,
-                            timeout_s=res.timeout_s):
-                        pass
-                    finish_failure(
-                        index, lv.attempt, "timeout",
-                        f"timed out after {res.timeout_s:g}s",
-                        now - lv.t0, None)
+                    _stop_worker(lv)
+                    settle(index, lv.attempt, "timeout",
+                           f"timed out after {res.timeout_s:g}s",
+                           now - lv.t0, None)
     finally:
         for lv in live.values():
-            _stop_worker(lv, res.term_grace_s)
-    return out
+            _stop_worker(lv)
+    return outcomes
 
+
+# ---------------------------------------------------------------------------
+# Experiment sweeps
+# ---------------------------------------------------------------------------
 
 def run_experiments(ids: Optional[Iterable[str]] = None,
                     parallel: int = 0,
@@ -605,10 +653,8 @@ def run_experiments(ids: Optional[Iterable[str]] = None,
                     seed: int = 1,
                     cache_dir: Optional[str] = None,
                     process=None,
-                    mp_context: str = "spawn",
                     timeout_s: Optional[float] = None,
                     retries: int = 0,
-                    resilience: Optional[ResilienceConfig] = None,
                     fault_plan: Optional[FaultPlan] = None
                     ) -> BenchReport:
     """Run a set of registered experiments, serially or supervised.
@@ -624,13 +670,10 @@ def run_experiments(ids: Optional[Iterable[str]] = None,
             by all workers.
         process: technology node for the serial path (workers always
             build their own).
-        mp_context: multiprocessing start method.
         timeout_s: per-task wall-clock budget per attempt (parallel
             workers are killed at the deadline; the serial path
             enforces it cooperatively against injected hangs).
         retries: extra attempts for failed/timed-out tasks.
-        resilience: full :class:`ResilienceConfig`; overrides
-            ``timeout_s``/``retries`` when given.
         fault_plan: chaos plan to activate for this run (shipped to
             every worker; the serial path installs it for the run's
             duration).  Defaults to the ambient plan (``REPRO_FAULTS``
@@ -650,25 +693,22 @@ def run_experiments(ids: Optional[Iterable[str]] = None,
     request = SweepRequest.from_ids(ids, scale=scale, seed=seed,
                                     timeout_s=timeout_s, retries=retries)
     return run_sweep(request, parallel=parallel, cache_dir=cache_dir,
-                     process=process, mp_context=mp_context,
-                     resilience=resilience, fault_plan=fault_plan)
+                     process=process, fault_plan=fault_plan)
 
 
 def run_sweep(request: SweepRequest,
               parallel: int = 0,
               cache_dir: Optional[str] = None,
               process=None,
-              mp_context: str = "spawn",
-              resilience: Optional[ResilienceConfig] = None,
               fault_plan: Optional[FaultPlan] = None) -> BenchReport:
     """Run one :class:`~repro.service.schema.SweepRequest`.
 
-    The schema-first twin of :func:`run_experiments` -- the CLI, the
-    service broker and library callers all build a frozen
-    :class:`SweepRequest` and hand it here, instead of re-threading
-    flag soup into engine kwargs.  The request's ``timeout_s`` /
-    ``retries`` seed the :class:`ResilienceConfig` unless an explicit
-    ``resilience`` overrides them.
+    The schema-first twin of :func:`run_experiments` -- the CLI and
+    library callers build a frozen :class:`SweepRequest` and hand it
+    here, instead of re-threading flag soup into engine kwargs.  The
+    request's ``timeout_s`` / ``retries`` set the
+    :class:`ResilienceConfig`.  The points run :class:`Supervised` when
+    ``parallel > 1`` and there is more than one, else :class:`Serial`.
 
     Raises:
         ValueError: when the request is empty, names unknown ids,
@@ -677,251 +717,37 @@ def run_sweep(request: SweepRequest,
             on the service broker, which coalesces by content hash).
     """
     request.validate(known=EXPERIMENTS)
-    dupes = sorted(eid for eid, n
-                   in Counter(request.experiment_ids()).items() if n > 1)
+    ids = request.experiment_ids()
+    dupes = sorted(eid for eid, n in Counter(ids).items() if n > 1)
     if dupes:
         raise ValueError(
             f"duplicate experiment ids in one batch: "
             f"{', '.join(dupes)}; results are keyed by id -- submit "
             f"each id once (concurrent identical sweeps coalesce on "
             f"the service broker instead)")
-    res = resilience if resilience is not None else \
-        ResilienceConfig(timeout_s=request.timeout_s,
-                         retries=request.retries)
-    plan = fault_plan if fault_plan is not None else faults.active_plan()
-    tasks = [(p.experiment_id, p.scale, p.seed) for p in request.points]
-    ids = request.experiment_ids()
+    res = ResilienceConfig(timeout_s=request.timeout_s,
+                           retries=request.retries)
+    supervised = parallel > 1 and len(ids) > 1
+    policy: Union[Serial, Supervised] = (
+        Supervised(workers=parallel, cache_dir=cache_dir) if supervised
+        else Serial(process if process is not None else make_process(),
+                    DesignCache(cache_dir=cache_dir)))
     scale, seed = request.points[0].scale, request.points[0].seed
     tracer = trace.get_tracer()
     n_spans = len(tracer.spans)
     metrics_before = metrics().snapshot()
     t0 = time.perf_counter()
-    worker_stats: List[Dict[str, float]] = []
-    if parallel > 1 and len(ids) > 1:
-        with trace.span("bench", parallel=parallel, scale=scale,
-                        seed=seed, n_experiments=len(ids)):
-            outcomes = _supervise("experiment", tasks, parallel,
-                                  cache_dir, res, seed, mp_context, plan)
-        runs = []
-        payloads = []
-        for i, (eid, _, _) in enumerate(tasks):
-            o = outcomes[i]
-            if o.status == "ok":
-                run = o.value
-                run.attempts = o.attempts
-            else:
-                run = ExperimentRun(experiment_id=eid, wall_s=o.wall_s,
-                                    all_passed=False, result={},
-                                    status=o.status, attempts=o.attempts,
-                                    error=o.error)
-            runs.append(run)
-            if o.payloads:
-                payloads.extend(o.payloads)
-                worker_stats.append(_aggregate_cache(
-                    [p["cache"] for p in o.payloads]))
-            else:
-                worker_stats.append(
-                    {k: 0.0 for k in _CACHE_FIELDS})
-        cache_stats = _aggregate_cache(worker_stats)
-        # fold worker metric deltas into the parent registry so the
-        # run's diff below covers the whole pool
-        for p in payloads:
-            metrics().merge_snapshot(p["metrics"])
-        worker_spans = [d for p in payloads for d in p["spans"]]
-    else:
-        proc = process if process is not None else make_process()
-        cache = DesignCache(cache_dir=cache_dir)
-        runs = []
-        with ExitStack() as stack:
-            if fault_plan is not None:
-                stack.enter_context(faults.installed(fault_plan))
-            with trace.span("bench", parallel=1, scale=scale, seed=seed,
-                            n_experiments=len(ids)):
-                for eid, s, sd in tasks:
-                    runs.append(_run_serial_task(
-                        eid, s, sd, proc, cache, res, seed))
-        cache_stats = cache.stats.as_dict()
-        worker_spans = []
-    spans = [sp.to_dict() for sp in tracer.spans[n_spans:]] + worker_spans
-    return BenchReport(runs=runs,
-                       total_wall_s=time.perf_counter() - t0,
-                       parallel=max(parallel, 1) if len(ids) > 1 else 1,
-                       scale=scale, seed=seed,
-                       cache_stats=cache_stats,
-                       worker_cache_stats=worker_stats,
-                       spans=spans,
-                       metrics=metrics().diff(metrics_before))
-
-
-def _run_serial_task(eid: str, scale: float, sd: int, proc, cache,
-                     res: ResilienceConfig,
-                     run_seed: int) -> ExperimentRun:
-    """One experiment, in-process, with the retry/backoff loop.
-
-    Timeouts are cooperative here: the deadline is handed to the fault
-    hooks, so an injected hang raises
-    :class:`~repro.faults.inject.InjectedHang` once the budget is
-    spent (a genuinely slow healthy stage cannot be preempted without
-    a worker process -- use ``parallel`` for hard kills).
-    """
-    t_task = time.perf_counter()
-    status, error, result = "failed", None, None
-    attempt = 0
-    for attempt in range(1, res.max_attempts + 1):
-        deadline = (time.monotonic() + res.timeout_s
-                    if res.timeout_s else None)
-        try:
-            with faults.task_context(eid, attempt, deadline):
-                faults.fault_point("task")
-                result = run_experiment(eid, ExperimentOptions(
-                    process=proc, scale=scale, seed=sd, cache=cache))
-            status = "ok"
-            break
-        except faults.InjectedHang as exc:
-            status, error, result = "timeout", str(exc), None
-            metrics().counter("tasks.timed_out").inc()
-            with trace.span("task.timeout", task=eid, attempt=attempt,
-                            timeout_s=res.timeout_s):
-                pass
-        except Exception as exc:
-            status, error, result = \
-                "failed", f"{type(exc).__name__}: {exc}", None
-        if attempt < res.max_attempts:
-            metrics().counter("tasks.retried").inc()
-            delay = res.backoff_delay(eid, attempt, run_seed)
-            with trace.span("task.retry", task=eid, attempt=attempt,
-                            reason=status, backoff_s=round(delay, 4)):
-                pass
-            time.sleep(delay)
-    if status != "ok":
-        metrics().counter("tasks.failed").inc()
-        with trace.span("task.gave_up", task=eid, attempt=attempt,
-                        reason=status):
-            pass
-        return ExperimentRun(experiment_id=eid,
-                             wall_s=time.perf_counter() - t_task,
-                             all_passed=False, result={}, status=status,
-                             attempts=attempt, error=error)
-    return ExperimentRun(experiment_id=eid,
-                         wall_s=time.perf_counter() - t_task,
-                         all_passed=result.all_passed,
-                         result=result_to_dict(result),
-                         attempts=attempt)
-
-
-# ---------------------------------------------------------------------------
-# Single-point entry points (the service broker's shard bodies)
-# ---------------------------------------------------------------------------
-
-def run_serial_experiment(point: PointSpec, process=None, cache=None,
-                          resilience: Optional[ResilienceConfig] = None
-                          ) -> ExperimentRun:
-    """Run one sweep point in-process, with the retry/backoff loop.
-
-    The cooperative twin of :func:`run_supervised_experiment`: no
-    worker process is spawned, so timeouts only preempt injected
-    hangs, but a caller-owned ``process``/``cache`` pair amortizes
-    across calls -- this is the broker's fast inline-shard body and is
-    also handy for tests.  Never raises for task-level failures; the
-    returned :class:`ExperimentRun` carries ``status`` / ``error``.
-    """
-    res = resilience if resilience is not None else ResilienceConfig()
-    proc = process if process is not None else make_process()
-    if cache is None:
-        cache = DesignCache()
-    return _run_serial_task(point.experiment_id, point.scale,
-                            point.seed, proc, cache, res, point.seed)
-
-
-def run_supervised_experiment(point: PointSpec,
-                              cache_dir: Optional[str] = None,
-                              resilience: Optional[ResilienceConfig]
-                              = None,
-                              mp_context: str = "spawn",
-                              fault_plan: Optional[FaultPlan] = None
-                              ) -> ExperimentRun:
-    """Run one sweep point under the full worker supervisor.
-
-    The point gets its own spawned worker process with hard-kill
-    timeouts, crash detection and retry-with-replacement -- exactly
-    one task through :func:`_supervise`.  This is the broker's
-    ``process`` shard body: a shard survives anything the point does,
-    including a worker segfault.
-    """
-    res = resilience if resilience is not None else ResilienceConfig()
-    plan = fault_plan if fault_plan is not None else faults.active_plan()
-    task = (point.experiment_id, point.scale, point.seed)
-    outcomes = _supervise("experiment", [task], 1, cache_dir, res,
-                          point.seed, mp_context, plan)
-    o = outcomes[0]
-    for p in o.payloads:
-        metrics().merge_snapshot(p["metrics"])
-    if o.status == "ok":
-        run = o.value
-        run.attempts = o.attempts
-        return run
-    return ExperimentRun(experiment_id=point.experiment_id,
-                         wall_s=o.wall_s, all_passed=False, result={},
-                         status=o.status, attempts=o.attempts,
-                         error=o.error)
-
-
-# ---------------------------------------------------------------------------
-# Design-space exploration fan-out
-# ---------------------------------------------------------------------------
-
-def explore_points(grid: Sequence[Tuple[str, bool]],
-                   scale: float = 0.7,
-                   seed: int = 1,
-                   parallel: int = 2,
-                   cache_dir: Optional[str] = None,
-                   mp_context: str = "spawn",
-                   timeout_s: Optional[float] = None,
-                   retries: int = 0,
-                   resilience: Optional[ResilienceConfig] = None,
-                   fault_plan: Optional[FaultPlan] = None,
-                   allow_partial: bool = False) -> List:
-    """Evaluate design-space grid points across supervised workers.
-
-    Returns :class:`~repro.core.explore.DesignPoint` objects in grid
-    order (identical to the serial explorer's output for the same
-    seed).  Runs under the same resilient supervisor as
-    :func:`run_experiments`; a point that exhausts its attempts raises
-    :class:`EngineError` unless ``allow_partial`` is set, in which
-    case its slot holds ``None``.
-
-    Duplicate grid entries coalesce: the same ``(style, dual_vth)``
-    listed twice is computed once and its result fills every matching
-    slot (results are deterministic per task triple, so replication is
-    exact -- and never silently overwrites a differing value).
-    """
-    res = resilience if resilience is not None else \
-        ResilienceConfig(timeout_s=timeout_s, retries=retries)
-    plan = fault_plan if fault_plan is not None else faults.active_plan()
-    all_tasks = [(style, dual_vth, scale, seed)
-                 for style, dual_vth in grid]
-    # coalesce duplicate grid points: compute each unique task once
-    first_slot: Dict[Tuple, int] = {}
-    tasks: List[Tuple] = []
-    slot_of: List[int] = []
-    for task in all_tasks:
-        if task not in first_slot:
-            first_slot[task] = len(tasks)
-            tasks.append(task)
-        slot_of.append(first_slot[task])
-    outcomes = _supervise("point", tasks, max(parallel, 1), cache_dir,
-                          res, seed, mp_context, plan)
-    # fold worker metric deltas in, so parallel exploration counts work
-    for o in outcomes.values():
-        for p in o.payloads:
-            metrics().merge_snapshot(p["metrics"])
-    failures = [(i, o) for i, o in sorted(outcomes.items())
-                if o.status != "ok"]
-    if failures and not allow_partial:
-        detail = "; ".join(
-            f"{_task_label('point', tasks[i])}: {o.status} "
-            f"after {o.attempts} attempt(s) ({o.error})"
-            for i, o in failures)
-        raise EngineError(f"{len(failures)} of {len(tasks)} grid "
-                          f"points failed: {detail}")
-    return [outcomes[slot_of[i]].value for i in range(len(all_tasks))]
+    with trace.span("bench", parallel=parallel if supervised else 1,
+                    scale=scale, seed=seed, n_experiments=len(ids)):
+        outcomes = execute(request.points, policy, res, fault_plan)
+    per_task = [o.cache for o in outcomes]
+    return BenchReport(
+        runs=[ExperimentRun.from_outcome(p.experiment_id, o)
+              for p, o in zip(request.points, outcomes)],
+        total_wall_s=time.perf_counter() - t0,
+        parallel=max(parallel, 1) if len(ids) > 1 else 1,
+        scale=scale, seed=seed,
+        cache_stats=_aggregate_cache(per_task),
+        worker_cache_stats=per_task,
+        spans=[sp.to_dict() for sp in tracer.spans[n_spans:]],
+        metrics=metrics().diff(metrics_before))

@@ -9,16 +9,16 @@ order; the request-order batch view stays available through
 
 Scheduling is work-stealing over ``shards`` worker shards.  Each shard
 is an asyncio consumer loop feeding a single-thread executor whose
-body wraps the existing resilient engine: ``shard_mode="process"``
-runs every point under the full worker supervisor
-(:func:`~repro.parallel.engine.run_supervised_experiment` -- hard
-timeouts, crash replacement), ``shard_mode="inline"`` runs points
-in-process with a shard-local design cache
-(:func:`~repro.parallel.engine.run_serial_experiment` -- no spawn
-cost, cooperative timeouts).  A shard with an empty queue steals from
-the deepest peer queue's tail, so one slow sweep cannot idle the rest
-of the pool -- and when chaos testing kills a shard outright (see
-below) its queue drains through the survivors.
+body is one :func:`~repro.parallel.engine.execute` call, under the
+shard's policy: ``shard_mode="process"`` runs every point
+:class:`~repro.parallel.engine.Supervised` (its own spawned worker --
+hard timeouts, crash replacement), ``shard_mode="inline"`` runs points
+:class:`~repro.parallel.engine.Serial` against a shard-local process
+node and design cache (no spawn cost, cooperative timeouts).  A shard
+with an empty queue steals from the deepest peer queue's tail, so one
+slow sweep cannot idle the rest of the pool -- and when chaos testing
+kills a shard outright (see below) its queue drains through the
+survivors.
 
 Two layers keep repeated work free:
 
@@ -50,7 +50,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from ..analysis.experiments import EXPERIMENTS
 from ..core.cache import DesignCache
@@ -58,9 +58,8 @@ from ..faults import inject as faults
 from ..faults.plan import FaultPlan
 from ..obs import trace
 from ..obs.metrics import metrics
-from ..parallel.engine import (ExperimentRun, ResilienceConfig,
-                               run_serial_experiment,
-                               run_supervised_experiment)
+from ..parallel.engine import (ExperimentRun, ResilienceConfig, Serial,
+                               Supervised, execute)
 from ..tech.process import make_process
 from .schema import (SCHEMA_VERSION, PointResult, PointSpec, SchemaError,
                      SweepRequest, decode_line, encode_line)
@@ -87,7 +86,6 @@ class ServiceConfig:
             in-process (fast startup -- tests, quick loads).
         timeout_s / retries: default resilience for points whose
             request does not set its own.
-        mp_context: start method for ``"process"`` mode workers.
         max_line_bytes: wire-line size limit (result JSON is big;
             the asyncio default of 64 KiB would truncate it).
     """
@@ -100,25 +98,10 @@ class ServiceConfig:
     shard_mode: str = "process"
     timeout_s: Optional[float] = None
     retries: int = 0
-    mp_context: str = "spawn"
     max_line_bytes: int = 8 * 1024 * 1024
 
 
-class _ShardRuntime:
-    """Worker-thread-local state of one shard (built lazily)."""
-
-    __slots__ = ("mode", "cache_dir", "mp_context", "process", "cache")
-
-    def __init__(self, mode: str, cache_dir: Optional[str],
-                 mp_context: str):
-        self.mode = mode
-        self.cache_dir = cache_dir
-        self.mp_context = mp_context
-        self.process = None
-        self.cache = None
-
-
-def _execute_job(runtime: _ShardRuntime, spec: PointSpec,
+def _execute_job(policy: Union[Serial, Supervised], spec: PointSpec,
                  res: ResilienceConfig) -> ExperimentRun:
     """Shard executor body: run one point through the engine.
 
@@ -126,16 +109,8 @@ def _execute_job(runtime: _ShardRuntime, spec: PointSpec,
     event-loop state (and the concurrency analyzer enforces the
     idiom repo-wide).
     """
-    if runtime.mode == "process":
-        return run_supervised_experiment(spec,
-                                         cache_dir=runtime.cache_dir,
-                                         resilience=res,
-                                         mp_context=runtime.mp_context)
-    if runtime.process is None:
-        runtime.process = make_process()
-        runtime.cache = DesignCache(cache_dir=runtime.cache_dir)
-    return run_serial_experiment(spec, process=runtime.process,
-                                 cache=runtime.cache, resilience=res)
+    outcome, = execute([spec], policy, res)
+    return ExperimentRun.from_outcome(spec.experiment_id, outcome)
 
 
 class _Shard:
@@ -145,9 +120,12 @@ class _Shard:
         self.index = index
         self.queue: Deque["_Job"] = deque()
         self.alive = True
-        self.runtime = _ShardRuntime(config.shard_mode,
-                                     config.cache_dir,
-                                     config.mp_context)
+        #: a serial shard's process node and design cache are its own,
+        #: touched only by its worker thread
+        self.policy: Union[Serial, Supervised] = (
+            Supervised(cache_dir=config.cache_dir)
+            if config.shard_mode == "process"
+            else Serial(cache=DesignCache(cache_dir=config.cache_dir)))
         self.pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"repro-shard-{index}")
         self.task: Optional[asyncio.Task] = None
@@ -183,7 +161,7 @@ class Broker:
     """The service: sessions in, shards out, everything observable.
 
     All broker state is mutated only on the event-loop thread; shard
-    worker threads touch nothing but their own :class:`_ShardRuntime`.
+    worker threads touch nothing but their own shard's policy.
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None,
@@ -449,7 +427,7 @@ class Broker:
                             experiment=job.spec.experiment_id,
                             shard=shard.index):
                 run = await loop.run_in_executor(
-                    shard.pool, _execute_job, shard.runtime, job.spec,
+                    shard.pool, _execute_job, shard.policy, job.spec,
                     job.resilience)
             metrics().counter("service.computed").inc()
             await self._complete(job, run)

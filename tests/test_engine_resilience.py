@@ -12,9 +12,10 @@ import time
 import pytest
 
 from repro import faults
+from repro.core.explore import DesignPoint, explore_design_space
 from repro.faults import FaultPlan
-from repro.parallel.engine import (EngineError, explore_points,
-                                   run_experiments)
+from repro.parallel.engine import (EngineError, ResilienceConfig,
+                                   Supervised, execute, run_experiments)
 
 IDS = ["fig6", "table4"]
 SCALE = 0.5
@@ -123,6 +124,31 @@ class TestSerialFaults:
         again = run_experiments(ids=IDS, scale=SCALE)
         assert again.results_json() == baseline.results_json()
         assert _chaos_counters(again) == {}
+
+
+# ---------------------------------------------------------------------------
+# Serial/supervised parity of fault accounting
+# ---------------------------------------------------------------------------
+
+def _injected_spans(report):
+    return sum(1 for sp in report.spans if sp["name"] == "fault.injected")
+
+
+def test_task_stage_injections_count_alike_serial_and_supervised():
+    """A fault fired at the engine-level ``task`` hook of a *successful*
+    attempt is accounted identically under both policies: the attempt's
+    observability snapshot must precede the hook in workers too."""
+    plan = FaultPlan.parse("slow task=table1 stage=task seconds=0.01")
+    ids = ["table1", "table4"]
+    serial = run_experiments(ids=ids, scale=0.3, fault_plan=plan)
+    par = run_experiments(ids=ids, scale=0.3, parallel=2,
+                          fault_plan=plan)
+    assert par.parallel == 2
+    assert _chaos_counters(serial)["faults.injected"] == 1.0
+    assert _chaos_counters(par)["faults.injected"] == \
+        _chaos_counters(serial)["faults.injected"]
+    assert _injected_spans(serial) == _injected_spans(par) == 1
+    assert par.results_json() == serial.results_json()
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +279,30 @@ class TestCacheChaos:
 class TestExploreResilience:
     GRID = [("2d", False), ("2d", True)]
 
-    def test_partial_exploration_opt_in(self, tmp_path):
-        plan = FaultPlan.parse("crash task=2d/rvt stage=task attempt=0")
-        cache_dir = str(tmp_path / "cache")
-        points = explore_points(self.GRID, scale=0.5, parallel=2,
-                                cache_dir=cache_dir, retries=1,
-                                fault_plan=plan, allow_partial=True)
-        assert points[0] is None
-        assert points[1] is not None
+    @pytest.mark.parametrize("parallel", [0, 2])
+    def test_grid_point_fault_raises_under_both_policies(self, process,
+                                                         tmp_path,
+                                                         parallel):
+        """Serial exploration passes through the same fault hooks as
+        supervised exploration, and fails the same way."""
+        plan = FaultPlan.parse("raise task=2d/rvt stage=task attempt=1")
+        with faults.installed(plan):
+            with pytest.raises(EngineError, match="2d/rvt"):
+                explore_design_space(process, grid=self.GRID, scale=0.3,
+                                     parallel=parallel,
+                                     cache_dir=str(tmp_path / "cache"))
 
-        with pytest.raises(EngineError, match="2d/rvt"):
-            explore_points(self.GRID, scale=0.5, parallel=2,
-                           cache_dir=cache_dir, retries=0,
-                           fault_plan=plan)
+    def test_failed_point_leaves_the_others_intact(self, tmp_path):
+        plan = FaultPlan.parse("crash task=2d/rvt stage=task attempt=0")
+        tasks = [(style, dvt, 0.5, 1) for style, dvt in self.GRID]
+        failed, ok = execute(
+            tasks, Supervised(workers=2,
+                              cache_dir=str(tmp_path / "cache")),
+            ResilienceConfig(retries=1), fault_plan=plan)
+        assert failed.status == "failed"
+        assert failed.attempts == 2
+        assert "crashed" in failed.error
+        assert failed.value is None
+        assert ok.status == "ok"
+        assert isinstance(ok.value, DesignPoint)
+        assert ok.value.label == "2d/dvt"

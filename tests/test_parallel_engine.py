@@ -5,9 +5,12 @@ import json
 import pytest
 
 from repro.analysis.experiments import EXPERIMENTS
+from repro.core.cache import DesignCache
 from repro.core.explore import explore_design_space
-from repro.parallel.engine import (explore_points, run_experiments,
-                                   run_serial_experiment, run_sweep)
+from repro.obs import trace
+from repro.obs.trace import Tracer
+from repro.parallel.engine import (ExperimentRun, Serial, execute,
+                                   run_experiments, run_sweep)
 from repro.service.schema import PointSpec, SweepRequest
 
 
@@ -37,13 +40,26 @@ def test_run_sweep_accepts_a_custom_request(process):
     assert report.scale == 0.5
 
 
-def test_run_serial_experiment_single_point(process):
-    run = run_serial_experiment(PointSpec("table1", 0.5, 1),
-                                process=process)
+def test_execute_serial_single_point(process):
+    outcome, = execute([PointSpec("table1", 0.5, 1)],
+                       Serial(process, DesignCache()))
+    run = ExperimentRun.from_outcome("table1", outcome)
     assert run.status == "ok"
     assert run.experiment_id == "table1"
     assert run.result["experiment_id"] == "table1"
     assert run.attempts == 1
+
+
+def test_execute_serial_duplicate_tasks_coalesce(process):
+    """A task listed twice runs once under the serial policy too; the
+    one outcome fills both slots."""
+    spec = PointSpec("table1", 0.5, 1)
+    t = Tracer()
+    with trace.use_tracer(t):
+        first, second = execute([spec, spec],
+                                Serial(process, DesignCache()))
+    assert first is second
+    assert [s.name for s in t.spans].count("experiment") == 1
 
 
 def test_default_ids_cover_registry():
@@ -136,11 +152,11 @@ def test_explore_parallel_matches_serial(process, tmp_path):
 
 
 @pytest.mark.slow
-def test_explore_duplicate_grid_points_coalesce(tmp_path):
+def test_explore_duplicate_grid_points_coalesce(process, tmp_path):
     """A repeated (style, dual_vth) entry is computed once and fills
     every matching slot -- not recomputed, not overwritten."""
     grid = [("2d", False), ("2d", False)]
-    points = explore_points(grid, scale=0.35, parallel=2,
-                            cache_dir=tmp_path)
+    points = explore_design_space(process, grid=grid, scale=0.35,
+                                  parallel=2, cache_dir=tmp_path).points
     assert len(points) == 2
     assert points[0] is points[1]  # one execution, replicated

@@ -60,8 +60,7 @@ def stub_experiments():
         return _stub_result("svc_gated", opts)
 
     for eid in STUB_IDS:
-        expmod.EXPERIMENTS[eid] = (expmod.REGISTRY[eid].fn,
-                                   expmod.REGISTRY[eid].description)
+        expmod.EXPERIMENTS[eid] = expmod.REGISTRY[eid].description
     yield STUB_IDS
     for eid in STUB_IDS:
         expmod.REGISTRY.pop(eid, None)
