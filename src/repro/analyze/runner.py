@@ -31,8 +31,8 @@ def load_waivers(path: Union[str, Path]) -> List[Waiver]:
 
     One waiver per line::
 
-        DET006 repro/core/cache.py::clear_disk -- deletes every entry;
-            order is irrelevant
+        DET005 repro/place/scalar.py::legalize_cells -- two-element
+            int set; int hash order is process-stable
 
     ``#`` starts a comment; rule id and obj pattern are fnmatch
     patterns; everything after ``--`` is the mandatory justification.

@@ -8,19 +8,13 @@ cache key; a finished :class:`~repro.core.flow.BlockDesign` is immutable
 *by convention* after the flow (the aggregation layers only read it), so
 cache hits can share the object.
 
-Two tiers:
-
-* **memory** -- a dict keyed by the content hash, shared objects, FIFO
-  capped at ``max_entries``;
-* **disk** (optional) -- pass ``cache_dir`` and every finished design is
-  pickled under ``<cache_dir>/<sha256>.pkl``.  Keys hash the *content*
-  of the request -- block name, every ``FlowConfig`` field (fold spec
-  included), a :func:`process_fingerprint` of the technology node, and
-  :data:`CODE_VERSION` -- so a stale tree from an older flow can never
-  satisfy a new request.  Writes are atomic (temp file + ``os.replace``)
-  so concurrent workers sharing one directory never observe a torn file;
-  loads are corruption-tolerant (a truncated or garbage file counts as a
-  miss, is deleted, and the design is recomputed).
+The designs live in one :class:`~repro.core.store.Store` (FIFO memory
+tier; with ``cache_dir``, pickles under ``<cache_dir>/<sha256>.pkl``,
+written atomically and loaded corruption-tolerantly).  Keys hash the
+*content* of the request -- block name, every ``FlowConfig`` field
+(fold spec included), a :func:`process_fingerprint` of the technology
+node, and :data:`CODE_VERSION`, a hash of the package source -- so a
+design built by other code can never satisfy a new request.
 
 Pass one :class:`DesignCache` through
 :func:`~repro.core.fullchip.build_chip` calls (or the design-space
@@ -28,24 +22,21 @@ explorer) to deduplicate the work; point several runs (or several
 ``multiprocessing`` workers) at one ``cache_dir`` to make reruns
 near-free.
 
-Beside the two design tiers, each cache memoizes the *generated*
-netlists its flows start from (:meth:`DesignCache.generated`), keyed by
-block, seed, scale and process fingerprint: a sweep folds one netlist
-many ways, and every miss gets a fresh clone of the pristine netlist
-instead of regenerating it.  The memo lives in memory only, is capped
-like the memory tier and is dropped by :meth:`DesignCache.clear`.
+Beside the designs, each cache memoizes the *generated* netlists its
+flows start from (:meth:`DesignCache.generated`), keyed by block, seed,
+scale and process fingerprint: a sweep folds one netlist many ways, and
+every miss gets a fresh clone of the pristine netlist instead of
+regenerating it.  The memo is a memory-only store, capped like the
+design tier and dropped by :meth:`DesignCache.clear`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import pickle
-import tempfile
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import IO, Dict, Optional, Union
 
 from ..designgen.generate import GeneratedBlock, generate_block
 from ..designgen.t2 import block_type_by_name
@@ -56,12 +47,28 @@ from ..place import scalar as place_scalar
 from ..tech.process import ProcessNode
 from ..timing import scalar as sta_scalar
 from .flow import BlockDesign, FlowConfig, run_block_flow
+from .store import Codec, Store, content_key
 
-#: Version stamp baked into every disk-cache key.  Bump whenever the
-#: flow's numerics change (placement, routing, timing, power models):
-#: old entries then silently become misses instead of serving stale
-#: designs.
-CODE_VERSION = "2"
+
+def source_version(root: Union[str, Path]) -> str:
+    """sha256 over the sorted relative paths and bytes of every ``.py``
+    file under ``root``."""
+    root = Path(root)
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py"),
+                       key=lambda p: p.relative_to(root).as_posix()):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+#: Version stamp baked into every design and service-point key: the
+#: hash of the ``repro`` package source, so any code change turns old
+#: disk entries into misses instead of serving designs built by other
+#: numerics.
+CODE_VERSION = source_version(Path(__file__).resolve().parent.parent)
 
 
 def process_fingerprint(process: ProcessNode) -> Dict[str, object]:
@@ -95,11 +102,6 @@ def process_fingerprint(process: ProcessNode) -> Dict[str, object]:
     }
 
 
-def _sha256(payload: Dict[str, object]) -> str:
-    blob = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def design_key(block: str, config: FlowConfig,
                process: ProcessNode) -> str:
     """Content hash of one block-flow request.
@@ -122,25 +124,25 @@ def design_key(block: str, config: FlowConfig,
               "sta": sta_scalar.use_scalar()}
     if any(scalar.values()):
         payload["scalar"] = scalar
-    return _sha256(payload)
+    return content_key(payload)
 
 
 def netlist_key(block: str, seed: int, scale: float,
                 process: ProcessNode) -> str:
     """Content hash of one generated netlist (the netlist memo's key)."""
-    return _sha256({"block": block, "seed": seed, "scale": scale,
-                    "process": process_fingerprint(process)})
+    return content_key({"block": block, "seed": seed, "scale": scale,
+                        "process": process_fingerprint(process)})
 
 
 @dataclass
 class CacheStats:
-    """Hit/miss/store counters across both tiers."""
+    """Hit/miss/store counters of the design tier."""
 
     hits: int = 0            # in-memory hits
     disk_hits: int = 0       # loaded from the persistent tier
     misses: int = 0          # full flow runs
     stores: int = 0          # designs written to disk
-    evictions: int = 0       # entries dropped (either tier)
+    evictions: int = 0       # memory entries dropped by the FIFO cap
     corrupt_drops: int = 0   # unreadable disk entries discarded
 
     @property
@@ -154,133 +156,49 @@ class CacheStats:
         return d
 
 
+def _write_design(design: BlockDesign, f: IO[bytes]) -> None:
+    pickle.dump(design, f, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _read_design(f: IO[bytes], key: str) -> BlockDesign:
+    design = pickle.load(f)
+    if not isinstance(design, BlockDesign):
+        raise TypeError(f"{key}: not a BlockDesign")
+    return design
+
+
+#: the design tier's disk format: ``<cache_dir>/<key>.pkl``
+DESIGN_CODEC: Codec[BlockDesign] = Codec(".pkl", _write_design,
+                                         _read_design)
+
+
 class DesignCache:
     """Memoizes finished block designs by content-hashed request.
 
     Args:
-        max_entries: in-memory entry cap (FIFO eviction).
-        cache_dir: optional directory for the persistent tier; created
-            on demand.  Safe to share between processes.
-        max_disk_entries: optional cap on on-disk entries; the oldest
-            (by mtime) are pruned after each store.
+        max_entries: in-memory entry cap (FIFO eviction), for the
+            designs and the netlist memo alike.
+        cache_dir: optional directory for the persistent tier
+            (created if missing).  Safe to share between processes.
     """
 
     def __init__(self, max_entries: int = 256,
-                 cache_dir: Optional[Union[str, Path]] = None,
-                 max_disk_entries: Optional[int] = None) -> None:
-        self._store: Dict[str, BlockDesign] = {}
+                 cache_dir: Optional[Union[str, Path]] = None) -> None:
+        self._designs: Store[BlockDesign] = Store(
+            cache_dir, DESIGN_CODEC, max_entries)
         #: pristine generated netlists, never handed to a flow directly
-        self._netlists: Dict[str, GeneratedBlock] = {}
-        self.max_entries = max_entries
-        self.max_disk_entries = max_disk_entries
-        self.cache_dir: Optional[Path] = \
-            Path(cache_dir) if cache_dir is not None else None
-        self.stats = CacheStats()
+        self._netlists: Store[GeneratedBlock] = Store(
+            max_entries=max_entries)
+        self._stats = CacheStats()
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._designs)
 
-    # ---- disk tier -----------------------------------------------------
-
-    def _path(self, key: str) -> Path:
-        assert self.cache_dir is not None
-        return self.cache_dir / f"{key}.pkl"
-
-    def disk_entries(self) -> int:
-        """Number of entries currently in the persistent tier."""
-        if self.cache_dir is None or not self.cache_dir.is_dir():
-            return 0
-        return sum(1 for _ in self.cache_dir.glob("*.pkl"))
-
-    def _load_disk(self, key: str) -> Optional[BlockDesign]:
-        if self.cache_dir is None:
-            return None
-        path = self._path(key)
-        # chaos hook: an active "corrupt" fault spec garbles the entry
-        # here, immediately before the read, so the tolerant-load path
-        # below is exercised for real (inert without a fault plan)
-        corrupt_point(path)
-        try:
-            with open(path, "rb") as f:
-                design = pickle.load(f)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # truncated write, foreign bytes, unpicklable after a code
-            # change: drop the entry and recompute
-            self.stats.corrupt_drops += 1
-            metrics().counter("cache.corrupt_drops").inc()
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        if not isinstance(design, BlockDesign):
-            self.stats.corrupt_drops += 1
-            metrics().counter("cache.corrupt_drops").inc()
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        return design
-
-    def _store_disk(self, key: str, design: BlockDesign) -> None:
-        if self.cache_dir is None:
-            return
-        try:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=str(self.cache_dir),
-                                       suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as f:
-                    pickle.dump(design, f, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, self._path(key))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            self.stats.stores += 1
-            metrics().counter("cache.stores").inc()
-            self._prune_disk()
-        except OSError:
-            # an unwritable cache directory degrades to memory-only
-            pass
-
-    def _prune_disk(self) -> None:
-        if self.max_disk_entries is None or self.cache_dir is None:
-            return
-        entries = sorted(self.cache_dir.glob("*.pkl"),
-                         key=lambda p: p.stat().st_mtime)
-        while len(entries) > self.max_disk_entries:
-            victim = entries.pop(0)
-            try:
-                victim.unlink()
-                self.stats.evictions += 1
-            except OSError:
-                pass
-
-    def clear_disk(self) -> None:
-        """Delete every entry of the persistent tier."""
-        if self.cache_dir is None or not self.cache_dir.is_dir():
-            return
-        for path in self.cache_dir.glob("*.pkl"):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
-    # ---- the lookup ----------------------------------------------------
-
-    def _remember(self, key: str, design: BlockDesign) -> None:
-        if len(self._store) >= self.max_entries:
-            # simple FIFO eviction; sweeps rarely exceed the default cap
-            oldest = next(iter(self._store))
-            del self._store[oldest]
-            self.stats.evictions += 1
-        self._store[key] = design
+    @property
+    def stats(self) -> CacheStats:
+        """A snapshot of the design tier's counters."""
+        return replace(self._stats, evictions=self._designs.evictions,
+                       corrupt_drops=self._designs.drops)
 
     # ---- the netlist memo ----------------------------------------------
 
@@ -299,9 +217,7 @@ class DesignCache:
             return gb
         gb = generate_block(block_type_by_name(block), process.library,
                             seed=seed, scale=scale)
-        if len(self._netlists) >= self.max_entries:
-            del self._netlists[next(iter(self._netlists))]
-        self._netlists[key] = gb
+        self._netlists.put(key, gb)
         return gb
 
     def _fresh_block(self, block: str, seed: int, scale: float,
@@ -309,6 +225,8 @@ class DesignCache:
         """A private clone of the memo's entry, for a flow to mutate."""
         gb = self.generated(block, seed, scale, process)
         return replace(gb, netlist=gb.netlist.clone())
+
+    # ---- the lookup ----------------------------------------------------
 
     def get_or_run(self, block: str, config: FlowConfig,
                    process: ProcessNode) -> BlockDesign:
@@ -324,33 +242,40 @@ class DesignCache:
         """
         with trace.span("cache.lookup", block=block) as sp:
             key = design_key(block, config, process)
-            hit = self._store.get(key)
+            hit = self._designs.get(key)
             if hit is not None:
-                self.stats.hits += 1
+                self._stats.hits += 1
                 metrics().counter("cache.memory_hits").inc()
                 sp.set(outcome="memory_hit")
                 return hit
-            design = self._load_disk(key)
+            path = self._designs.path(key)
+            if path is not None:
+                # chaos hook: an active "corrupt" fault spec garbles the
+                # entry here, immediately before the read, so the
+                # store's tolerant load is exercised for real (inert
+                # without a fault plan)
+                corrupt_point(path)
+            design = self._designs.load(key)
             if design is not None:
-                self.stats.disk_hits += 1
+                self._stats.disk_hits += 1
                 metrics().counter("cache.disk_hits").inc()
                 sp.set(outcome="disk_hit")
-                self._remember(key, design)
                 return design
-            self.stats.misses += 1
+            self._stats.misses += 1
             metrics().counter("cache.misses").inc()
             sp.set(outcome="miss")
             design = run_block_flow(
                 block, config, process,
                 source=lambda: self._fresh_block(
                     block, config.seed, config.scale, process))
-            self._remember(key, design)
-            self._store_disk(key, design)
+            if self._designs.put(key, design):
+                self._stats.stores += 1
+                metrics().counter("cache.stores").inc()
             return design
 
     def clear(self) -> None:
-        """Drop the in-memory tier and the netlist memo and reset the
-        counters (the disk tier survives; see :meth:`clear_disk`)."""
-        self._store.clear()
+        """Drop the in-memory designs and the netlist memo and reset the
+        counters (the disk tier survives)."""
+        self._designs.clear()
         self._netlists.clear()
-        self.stats = CacheStats()
+        self._stats = CacheStats()

@@ -23,8 +23,8 @@ survivors.
 Two layers keep repeated work free:
 
 * **result store** -- finished points persist in a shared
-  :class:`~repro.service.store.ResultStore` tier (memory + optional
-  ``cache_dir`` disk), consulted before dispatch;
+  :class:`~repro.core.store.Store` (memory + optional
+  ``<cache_dir>/results`` disk tier), consulted before dispatch;
 * **request coalescing** -- identical in-flight points (same content
   hash) attach to the one running job and fan out on completion:
   N concurrent clients sweeping the same grid cost one execution per
@@ -50,10 +50,12 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from ..analysis.experiments import EXPERIMENTS
 from ..core.cache import DesignCache
+from ..core.store import Store
 from ..faults import inject as faults
 from ..faults.plan import FaultPlan
 from ..obs import trace
@@ -61,9 +63,8 @@ from ..obs.metrics import metrics
 from ..parallel.engine import (ExperimentRun, ResilienceConfig, Serial,
                                Supervised, execute)
 from ..tech.process import make_process
-from .schema import (SCHEMA_VERSION, PointResult, PointSpec, SchemaError,
-                     SweepRequest, decode_line, encode_line)
-from .store import ResultStore
+from .schema import (RESULT_CODEC, SCHEMA_VERSION, PointResult, PointSpec,
+                     SchemaError, SweepRequest, decode_line, encode_line)
 
 #: shard execution styles
 SHARD_MODES = ("process", "inline")
@@ -174,7 +175,10 @@ class Broker:
         self._plan = fault_plan
         self._prev_plan: Optional[FaultPlan] = None
         self._process = make_process()
-        self._store = ResultStore(cache_dir=self.config.cache_dir)
+        cache_dir = self.config.cache_dir
+        self._store: Store[PointResult] = Store(
+            None if cache_dir is None else Path(cache_dir) / "results",
+            RESULT_CODEC, max_entries=1024)
         self._jobs: Dict[str, _Job] = {}
         self._shards: List[_Shard] = []
         self._sessions: Dict[int, _Session] = {}
@@ -338,6 +342,8 @@ class Broker:
         """Route one point: store hit, coalesce, or enqueue fresh."""
         key = spec.key(self._process)
         hit = self._store.get(key)
+        if hit is None:
+            hit = self._store.load(key)
         if hit is not None:
             metrics().counter("service.result_hits").inc()
             await self._deliver(session, rid, index,
@@ -467,7 +473,7 @@ class Broker:
         self._jobs.pop(job.key, None)
         result = PointResult.from_run(run, job.spec, job.key)
         if run.status == "ok":
-            self._store.put(result)
+            self._store.put(result.key, result)
         else:
             metrics().counter("service.failed").inc()
         for session, rid, index in list(job.subscribers):

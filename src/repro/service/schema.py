@@ -29,13 +29,13 @@ deep inside a shard.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import IO, Any, Dict, Iterable, List, Optional, Tuple
 
 from ..analysis.experiments import ExperimentOptions
 from ..core.cache import CODE_VERSION, process_fingerprint
+from ..core.store import Codec, content_key
 
 #: bump when a wire message's shape changes incompatibly
 SCHEMA_VERSION = 1
@@ -105,8 +105,7 @@ class PointSpec:
                 self._resolved_process(process)),
             "code_version": CODE_VERSION,
         }
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        return content_key(payload)
 
     @staticmethod
     def _resolved_process(process):
@@ -316,3 +315,19 @@ class PointResult:
                            all_passed=run.all_passed, result=run.result,
                            attempts=run.attempts, wall_s=run.wall_s,
                            source=source, error=run.error)
+
+
+def _write_result(result: PointResult, f: IO[bytes]) -> None:
+    f.write(encode_line(result.to_wire()))
+
+
+def _read_result(f: IO[bytes], key: str) -> PointResult:
+    result = PointResult.from_wire(decode_line(f.read()))
+    if result.key != key:
+        raise SchemaError("stored under the wrong key")
+    return result
+
+
+#: the broker's result tier on disk: ``<cache_dir>/results/<key>.json``
+RESULT_CODEC: Codec[PointResult] = Codec(".json", _write_result,
+                                         _read_result)

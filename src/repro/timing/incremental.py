@@ -390,30 +390,40 @@ class IncrementalSTA:
         for iid in reload_ids:
             self.loads[iid] = driven_load(self.netlist, self.routing,
                                           iid)
-        ok = self._propagate_forward(dirty, changed_out) and \
+        forward = self._propagate_forward(dirty, changed_out)
+        backward = None if forward is None else \
             self._propagate_backward(dirty, changed_out)
-        if not ok:  # pragma: no cover - cyclic-netlist safety valve
+        if forward is None or backward is None:  # pragma: no cover
+            # cyclic-netlist safety valve
             self._build()
             if changed_out is not None:
                 changed_out.update(self.arrival)
+            return
+        metrics().counter("sta.nodes_retimed").inc(forward + backward)
 
     def _propagate_forward(self, seeds: Iterable[int],
-                           changed_out: Optional[Set[int]] = None) -> bool:
+                           changed_out: Optional[Set[int]] = None
+                           ) -> Optional[int]:
+        """Re-propagate arrivals from ``seeds`` in topological order.
+
+        Returns how many arrivals changed, or ``None`` when the walk
+        needs a full rebuild (cyclic netlist).
+        """
         topo = self.topo
         heap: List[Tuple[int, int]] = []
         queued: Set[int] = set()
         for iid in seeds:
             idx = topo.get(iid)
             if idx is None:  # cyclic netlist: fall back to full rebuild
-                return False
+                return None
             if iid not in queued:
                 heappush(heap, (idx, iid))
                 queued.add(iid)
-        guard = 0
+        guard = changed = 0
         limit = 500 * (len(self.netlist.instances) + 4)
         while heap:
             if guard >= limit:
-                return False
+                return None
             guard += 1
             _, iid = heappop(heap)
             queued.discard(iid)
@@ -421,21 +431,25 @@ class IncrementalSTA:
             if new == self.arrival.get(iid, 0.0):
                 continue
             self.arrival[iid] = new
+            changed += 1
             if changed_out is not None:
                 changed_out.add(iid)
             for sink, _routed, _sp in self.succ[iid]:
                 if sink not in queued:
                     idx = topo.get(sink)
                     if idx is None:
-                        return False
+                        return None
                     heappush(heap, (idx, sink))
                     queued.add(sink)
         metrics().counter("sta.incremental_nodes").inc(guard)
-        return True
+        return changed
 
     def _propagate_backward(self, seeds: Iterable[int],
                             changed_out: Optional[Set[int]] = None
-                            ) -> bool:
+                            ) -> Optional[int]:
+        """Re-propagate required times from ``seeds`` in reverse
+        topological order; returns how many changed, or ``None`` when
+        the walk needs a full rebuild."""
         topo = self.topo
         heap: List[Tuple[int, int]] = []
         queued: Set[int] = set()
@@ -452,17 +466,17 @@ class IncrementalSTA:
 
         for iid in seeds:
             if not push(iid):
-                return False
+                return None
             # a changed cell's delay also shifts its predecessors'
             # required times, even when its own required is untouched
             for drv, _routed, _sp in self.pred[iid]:
                 if not push(drv):
-                    return False
-        guard = 0
+                    return None
+        guard = changed = 0
         limit = 500 * (len(self.netlist.instances) + 4)
         while heap:
             if guard >= limit:
-                return False
+                return None
             guard += 1
             _, iid = heappop(heap)
             queued.discard(iid)
@@ -470,13 +484,14 @@ class IncrementalSTA:
             if new == self.required.get(iid, INF):
                 continue
             self.required[iid] = new
+            changed += 1
             if changed_out is not None:
                 changed_out.add(iid)
             for drv, _routed, _sp in self.pred[iid]:
                 if not push(drv):
-                    return False
+                    return None
         metrics().counter("sta.incremental_nodes").inc(guard)
-        return True
+        return changed
 
     # -- results ---------------------------------------------------------------
 

@@ -4,13 +4,22 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.cache import (CODE_VERSION, CacheStats, DesignCache,
-                              design_key, process_fingerprint)
+                              design_key, process_fingerprint,
+                              source_version)
 from repro.core.flow import FlowConfig
 from repro.core.folding import FoldSpec
+
+
+def _pickles(directory):
+    """Entries in the design tier's directory."""
+    return sorted(directory.glob("*.pkl"))
 
 
 def test_cold_then_warm_disk_parity(process, tmp_path):
@@ -20,7 +29,7 @@ def test_cold_then_warm_disk_parity(process, tmp_path):
     a = cold.get_or_run("ncu", cfg, process)
     assert cold.stats.misses == 1
     assert cold.stats.stores == 1
-    assert cold.disk_entries() == 1
+    assert len(_pickles(tmp_path)) == 1
 
     warm = DesignCache(cache_dir=tmp_path)
     b = warm.get_or_run("ncu", cfg, process)
@@ -57,7 +66,7 @@ def test_corrupted_entry_falls_back_to_recompute(process, tmp_path):
     assert warm.stats.disk_hits == 0
     assert redone.power.total_uw == good.power.total_uw
     # the recompute re-stored a healthy entry
-    assert warm.disk_entries() == 1
+    assert len(_pickles(tmp_path)) == 1
 
 
 def test_wrong_type_pickle_counts_as_corrupt(process, tmp_path):
@@ -71,23 +80,13 @@ def test_wrong_type_pickle_counts_as_corrupt(process, tmp_path):
     assert cache.stats.misses == 1
 
 
-def test_disk_eviction_cap(process, tmp_path):
-    cache = DesignCache(cache_dir=tmp_path, max_disk_entries=2)
-    for scale in (0.3, 0.35, 0.4):
-        cache.get_or_run("ncu", FlowConfig(scale=scale), process)
-    assert cache.disk_entries() == 2
-    assert cache.stats.evictions >= 1
-
-
 def test_clear_keeps_disk_clear_disk_removes(process, tmp_path):
     cfg = FlowConfig(scale=0.4)
     cache = DesignCache(cache_dir=tmp_path)
     cache.get_or_run("ncu", cfg, process)
     cache.clear()
     assert len(cache) == 0
-    assert cache.disk_entries() == 1
-    cache.clear_disk()
-    assert cache.disk_entries() == 0
+    assert len(_pickles(tmp_path)) == 1
 
 
 def test_unwritable_cache_dir_degrades_to_memory(process, tmp_path):
@@ -97,7 +96,8 @@ def test_unwritable_cache_dir_degrades_to_memory(process, tmp_path):
     design = cache.get_or_run("ncu", FlowConfig(scale=0.4), process)
     assert design.power.total_uw > 0
     assert cache.stats.misses == 1
-    assert cache.disk_entries() == 0
+    assert cache.stats.stores == 0
+    assert not blocker.is_dir()
 
 
 # ---- cache-key coverage ------------------------------------------------
@@ -146,6 +146,19 @@ def test_key_includes_block_name_and_version(process, monkeypatch):
     monkeypatch.setattr("repro.core.cache.CODE_VERSION",
                         CODE_VERSION + ".test")
     assert design_key("ncu", cfg, process) != before
+
+
+def test_code_version_is_derived_from_the_source(tmp_path):
+    """One changed byte anywhere in the package changes the version."""
+    tree = tmp_path / "repro"
+    shutil.copytree(Path(repro.__file__).parent, tree,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert source_version(tree) == CODE_VERSION
+    target = tree / "core" / "flow.py"
+    data = bytearray(target.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    target.write_bytes(bytes(data))
+    assert source_version(tree) != CODE_VERSION
 
 
 def test_process_fingerprint_covers_3d_vias(process):

@@ -18,12 +18,13 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.golden import (DEFAULT_ATOL, GOLDEN_IDS,
                                    GOLDEN_SCALE, GOLDEN_SEED,
                                    compare_to_golden, golden_metrics,
                                    load_golden, make_golden_payload,
                                    save_golden)
-from repro.core.cache import CODE_VERSION
+from repro.core.cache import CODE_VERSION, source_version
 from repro.parallel.engine import run_experiments
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "golden.json"
@@ -97,17 +98,19 @@ def test_save_load_roundtrip(tmp_path):
     assert path.read_text().endswith("\n")
 
 
-#: sha256 of ``tests/golden/golden.json`` frozen with the cache version it
-#: was produced under; refreshing the fixture without bumping
-#: ``repro.core.cache.CODE_VERSION`` (so disk caches keep serving designs
-#: from the old numerics) fails here
-GOLDEN_SHA256 = (
-    "c4a597306ca15e0e31c0115c6713a88d062def9cc9e5cc7a433c848398b48e3c", "2")
+#: sha256 of ``tests/golden/golden.json``; a refreshed fixture must move
+#: ``repro.core.cache.CODE_VERSION`` too, which holds because the
+#: version is the hash of the package source (the code change that moved
+#: the goldens moved it), so disk caches never serve designs from the
+#: old numerics
+GOLDEN_SHA256 = \
+    "c4a597306ca15e0e31c0115c6713a88d062def9cc9e5cc7a433c848398b48e3c"
 
 
 def test_golden_refresh_bumps_code_version():
     digest = hashlib.sha256(GOLDEN_PATH.read_bytes()).hexdigest()
-    assert (digest, CODE_VERSION) == GOLDEN_SHA256, (
-        "golden.json and CODE_VERSION move together: bump CODE_VERSION in "
-        "repro/core/cache.py when refreshing the fixture, then update "
-        "GOLDEN_SHA256")
+    assert digest == GOLDEN_SHA256, (
+        "golden.json changed: update GOLDEN_SHA256 with the refresh")
+    assert CODE_VERSION == source_version(
+        Path(repro.__file__).resolve().parent), (
+        "CODE_VERSION must be the hash of the package source")

@@ -19,7 +19,7 @@ from repro.service import (Client, ServiceConfig, ServiceError,
                            serve_background)
 from repro.service.schema import PointSpec, SweepRequest
 
-STUB_IDS = ("svc_fast", "svc_slow", "svc_gated")
+STUB_IDS = ("svc_fast", "svc_slow", "svc_gated", "svc_broken")
 
 #: gate the ``svc_gated`` stub blocks on until a test opens it
 _GATE = threading.Event()
@@ -42,7 +42,7 @@ def _stub_result(eid, opts):
 
 @pytest.fixture(scope="module")
 def stub_experiments():
-    """Three throwaway experiments registered for this module only."""
+    """Throwaway experiments registered for this module only."""
 
     @expmod.experiment("svc_fast", "service stub: returns immediately")
     def _fast(opts):
@@ -58,6 +58,12 @@ def stub_experiments():
         _STARTED.set()
         assert _GATE.wait(30.0), "test gate never opened"
         return _stub_result("svc_gated", opts)
+
+    @expmod.experiment("svc_broken", "service stub: always raises")
+    def _broken(opts):
+        with _CALLS_LOCK:
+            _CALLS.append(("svc_broken", opts.scale, opts.seed))
+        raise RuntimeError("svc_broken always fails")
 
     for eid in STUB_IDS:
         expmod.EXPERIMENTS[eid] = expmod.REGISTRY[eid].description
@@ -186,6 +192,24 @@ class TestCoalescing:
         assert _delta(before, "service.result_hits") == 1
 
 
+    def test_restarted_broker_serves_the_disk_tier(self,
+                                                   stub_experiments,
+                                                   tmp_path):
+        before = _counters()
+        req = SweepRequest(points=(PointSpec("svc_fast", 1.0, 121),))
+        with serve_background(_config(cache_dir=str(tmp_path))) as h:
+            with Client(port=h.port, timeout=30.0) as client:
+                first = client.collect(req)[0]
+        assert len(list((tmp_path / "results").glob("*.json"))) == 1
+        with serve_background(_config(cache_dir=str(tmp_path))) as h:
+            with Client(port=h.port, timeout=30.0) as client:
+                second = client.collect(req)[0]
+        assert second.source == "cache"
+        assert second.canonical_json() == first.canonical_json()
+        assert _delta(before, "service.computed") == 1
+        assert _delta(before, "service.result_hits") == 1
+
+
 class TestScheduling:
     def test_stream_order_is_completion_order(self, stub_experiments):
         req = SweepRequest(points=(
@@ -254,6 +278,22 @@ class TestFailureContract:
         assert res.ok
         assert [s["alive"] for s in stats["shards"]] == [True]
         assert _delta(before, "service.shard_deaths") == 0
+
+    def test_failed_points_are_never_stored(self, stub_experiments,
+                                            gate, tmp_path):
+        before = _counters()
+        req = SweepRequest(points=(PointSpec("svc_broken", 1.0, 321),))
+        with serve_background(_config(cache_dir=str(tmp_path))) as h:
+            with Client(port=h.port, timeout=30.0) as client:
+                first = client.collect(req)[0]
+                second = client.collect(req)[0]
+                stats = client.stats()
+        assert (first.status, second.status) == ("failed", "failed")
+        assert second.source == "computed"  # re-ran, never replayed
+        assert [eid for eid, _, _ in _CALLS] == ["svc_broken"] * 2
+        assert stats["store_entries"] == 0
+        assert list((tmp_path / "results").iterdir()) == []
+        assert _delta(before, "service.result_hits") == 0
 
     def test_killed_shard_drains_through_survivors(self,
                                                    stub_experiments):

@@ -1,13 +1,13 @@
-"""Tests for the service wire schema and the result store."""
+"""Tests for the service wire schema and the result codec."""
 
 import json
 
 import pytest
 
-from repro.service.schema import (SCHEMA_VERSION, PointResult, PointSpec,
-                                  SchemaError, SweepRequest, decode_line,
-                                  encode_line)
-from repro.service.store import ResultStore
+from repro.service.schema import (RESULT_CODEC, SCHEMA_VERSION,
+                                  PointResult, PointSpec, SchemaError,
+                                  SweepRequest, decode_line, encode_line)
+from tests.test_store import StoreSuite
 
 
 def _result(point=None, key="k" * 64, status="ok", **kw):
@@ -114,53 +114,14 @@ class TestPointResult:
             PointResult.from_wire(wire)
 
 
-class TestResultStore:
-    def test_memory_round_trip(self):
-        store = ResultStore()
-        res = _result()
-        store.put(res)
-        assert store.get(res.key) == res
-        assert store.get("f" * 64) is None
+class TestResultStore(StoreSuite):
+    """The Store suite on the broker's JSON result codec."""
 
-    def test_disk_tier_survives_a_fresh_store(self, tmp_path):
-        store = ResultStore(cache_dir=tmp_path)
-        res = _result()
-        store.put(res)
-        fresh = ResultStore(cache_dir=tmp_path)
-        assert fresh.get(res.key) == res
+    codec = RESULT_CODEC
 
-    def test_failures_are_never_stored(self, tmp_path):
-        store = ResultStore(cache_dir=tmp_path)
-        store.put(_result(status="failed", all_passed=False, result={},
-                          error="boom"))
-        assert len(store) == 0
-        assert ResultStore(cache_dir=tmp_path).get("k" * 64) is None
+    def value(self, i):
+        return _result(key=self.key(i))
 
-    def test_corrupt_disk_entry_is_a_miss_and_dropped(self, tmp_path):
-        store = ResultStore(cache_dir=tmp_path)
-        res = _result()
-        store.put(res)
-        path = store._path(res.key)
-        path.write_bytes(b"{torn write")
-        fresh = ResultStore(cache_dir=tmp_path)
-        assert fresh.get(res.key) is None
-        assert not path.exists()
-
-    def test_wrong_key_entry_is_dropped(self, tmp_path):
-        store = ResultStore(cache_dir=tmp_path)
-        res = _result()
-        store.put(res)
-        # file moved under a different key: content no longer matches
-        other = "a" * 64
-        store._path(res.key).rename(store._path(other))
-        fresh = ResultStore(cache_dir=tmp_path)
-        assert fresh.get(other) is None
-
-    def test_memory_tier_is_fifo_capped(self):
-        store = ResultStore(max_entries=2)
-        results = [_result(key=str(i) * 64) for i in range(3)]
-        for res in results:
-            store.put(res)
-        assert len(store) == 2
-        assert store.get(results[0].key) is None
-        assert store.get(results[2].key) == results[2]
+    def invalid_entry(self, key):
+        # a valid result whose content names another key
+        return encode_line(_result(key="a" * 64).to_wire())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.place.placer2d import PlacementConfig, place_block_2d
 from repro.route.estimate import route_block
 from repro.timing.incremental import IncrementalSTA
@@ -119,6 +120,31 @@ def test_batched_swaps_match_exactly(setup, process):
     applied = inc.swap_masters(moves)
     assert applied == len(moves)
     assert_exact(inc, netlist, process, config)
+
+
+def _batch_work(library, process):
+    """(sta.nodes_retimed, sta.incremental_nodes) of one swap batch on
+    a freshly built ncu view."""
+    gb = fresh_block("ncu", library, seed=23)
+    place_block_2d(gb.netlist, PlacementConfig(seed=23))
+    routing = route_block(gb.netlist, process.metal_stack)
+    inc = IncrementalSTA(gb.netlist, routing, process,
+                         TimingConfig("cpu_clk", default_io_delay_ps=50.0))
+    cells = [c for c in gb.netlist.cells if not c.is_sequential]
+    moves = [(c.id, variant_for(library, c.master, kind % 3))
+             for kind, c in enumerate(cells[:60])]
+    with use_registry(MetricsRegistry()) as reg:
+        inc.swap_masters([(i, m) for i, m in moves if m is not None])
+    counters = reg.snapshot()["counters"]
+    return counters["sta.nodes_retimed"], counters["sta.incremental_nodes"]
+
+
+def test_identical_batches_count_the_same_retimed_nodes(library, process):
+    first = _batch_work(library, process)
+    assert first == _batch_work(library, process)
+    retimed, evaluated = first
+    # every retimed node was evaluated; not every evaluation moved one
+    assert 0 < retimed <= evaluated
 
 
 def test_apply_routing_update_matches_exactly(setup, process):
